@@ -54,12 +54,12 @@ const synth::SyntheticWorld& WorldOfSize(std::size_t agents) {
   return *it->second;
 }
 
-/// Attaches the process peak-RSS counter to a row (MB). getrusage reports
-/// a lifetime high-water mark, so inside a full suite run the value is an
-/// upper bound shaped by whatever ran earlier; run a benchmark alone
-/// (--benchmark_filter) for its true residency — the out-of-core
-/// acceptance procedure does exactly that. compare_bench.py prints these
-/// counters as an informational (never gated) delta table.
+/// Attaches the peak-RSS counter to a row (MB). Every row that records it
+/// calls util::ResetPeakRss() first, so the value is that row's own peak
+/// (world setup included) rather than whatever ran earlier in the suite;
+/// on hosts where the reset is unsupported it degrades to the lifetime
+/// high-water mark. compare_bench.py prints these counters as an
+/// informational (never gated) delta table.
 void RecordPeakRss(benchmark::State& state) {
   state.counters["peak_rss_mb"] =
       static_cast<double>(util::PeakRssBytes()) / (1024.0 * 1024.0);
@@ -204,6 +204,7 @@ const std::string& CsvOfSize(std::size_t agents) {
 }
 
 void BM_IngestCsv(benchmark::State& state) {
+  util::ResetPeakRss();
   const std::string& text = CsvOfSize(static_cast<std::size_t>(state.range(0)));
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -275,6 +276,7 @@ const std::string& ColumnarPathOfSize(std::size_t agents) {
 }
 
 void BM_WriteColumnar(benchmark::State& state) {
+  util::ResetPeakRss();
   const model::EventStore store = model::EventStore::FromDataset(
       WorldOfSize(static_cast<std::size_t>(state.range(0))).dataset());
   const std::string path =
@@ -292,6 +294,7 @@ void BM_WriteColumnar(benchmark::State& state) {
 BENCHMARK(BM_WriteColumnar)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_ReadColumnar(benchmark::State& state) {
+  util::ResetPeakRss();
   const std::string& path =
       ColumnarPathOfSize(static_cast<std::size_t>(state.range(0)));
   const auto file_bytes =
@@ -308,6 +311,7 @@ void BM_ReadColumnar(benchmark::State& state) {
 BENCHMARK(BM_ReadColumnar)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_OpenColumnarMmap(benchmark::State& state) {
+  util::ResetPeakRss();
   // Open + build the whole-file DatasetView: what a pipeline run pays
   // before its first kernel touches a column. Pages fault lazily, so this
   // is metadata-decode cost, independent of the event count.
@@ -375,6 +379,7 @@ const std::vector<std::string>& GridEvaluators() {
 }
 
 void BM_EngineGrid(benchmark::State& state) {
+  util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   std::size_t events = 0;
@@ -397,6 +402,7 @@ void BM_EngineGrid(benchmark::State& state) {
 BENCHMARK(BM_EngineGrid)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridCached(benchmark::State& state) {
+  util::ResetPeakRss();
   // Same grid with the `.mpc` output cache on: iteration 1 spills every
   // mechanism output (cold), later iterations reuse them (warm) — the
   // cross-run reuse path. cache_hits/cache_misses counters accumulate
@@ -437,6 +443,7 @@ BENCHMARK(BM_EngineGridCached)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridIndependent(benchmark::State& state) {
+  util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   std::size_t events = 0;
@@ -472,6 +479,7 @@ BENCHMARK(BM_EngineGridIndependent)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridChainShared(benchmark::State& state) {
+  util::ResetPeakRss();
   // Four 3-stage chain rows sharing a 2-stage prefix (the paper's sweep
   // shape: one pipeline, many final stages). The engine compiles one
   // node per distinct chain prefix, so the shared stages run once per
@@ -740,6 +748,7 @@ synth::StreamingWorldConfig GenerateWorldConfig(std::size_t agents) {
 }
 
 void BM_GenerateWorld(benchmark::State& state) {
+  util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -807,6 +816,7 @@ core::ScenarioSpec ShardGridSpec(const std::string& dir) {
 }
 
 void BM_EngineGridShardStream(benchmark::State& state) {
+  util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& dir = ShardDirOfSize(agents);
   const std::size_t dir_events = ShardDirEventCount(dir);
@@ -828,6 +838,7 @@ BENCHMARK(BM_EngineGridShardStream)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridShardWhole(benchmark::State& state) {
+  util::ResetPeakRss();
   // Whole-view control: an (idle) watchdog disqualifies streaming without
   // changing any result, so this row is the same grid over the same bytes
   // with every shard resident at once.

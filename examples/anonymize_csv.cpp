@@ -23,10 +23,11 @@
 // registry spec string ("geo_ind[eps=0.01]", "wait4me[k=4,delta=500m]",
 // ...); the legacy pipeline flags (--spacing etc.) are shorthand that
 // assembles the "ours[...]" spec when --mechanism is not given.
-// `--shards N` runs the mechanism shard-wise (per-shard RNG streams) and
-// persists the published partition next to --output via
-// ShardedDataset::SaveShards. `--evaluate e1,e2,...` runs a one-mechanism
-// scenario-engine grid over the input and prints the unified report.
+// `--shards N` additionally persists the published dataset partitioned
+// into N shards as <output>.shards/ (ShardedDataset::SaveShards); binding
+// that directory as an input reproduces --output exactly.
+// `--evaluate e1,e2,...` runs a one-mechanism scenario-engine grid over
+// the input and prints the unified report.
 //
 // With --demo (no input file), generates a synthetic dataset, writes it to
 // --output-raw, anonymizes it, and writes the result — a self-contained
@@ -76,8 +77,8 @@ int main(int argc, char** argv) {
   cli.AddOption("evaluate",
                 "comma-separated evaluator specs to score the publication "
                 "with (e.g. coverage,spatial_distortion,poi_attack)", "");
-  cli.AddOption("shards", "run shard-wise over N shards and persist them "
-                "as <output>.shards/ (0 = off)", "0");
+  cli.AddOption("shards", "also persist the published dataset partitioned "
+                "into N shards as <output>.shards/ (0 = off)", "0");
   cli.AddOption("spacing", "constant-speed spacing epsilon, metres", "100");
   cli.AddOption("zone-radius", "mix-zone radius, metres", "150");
   cli.AddOption("window", "mix-zone time window, seconds", "600");
@@ -180,10 +181,8 @@ int main(int argc, char** argv) {
     const std::string name = mechanism->Name();
 
     // ---- Publish. Uses the same stream derivation as an engine grid
-    // cell, so for unsharded runs a --evaluate report describes exactly
-    // the written output; sharded runs use per-shard streams instead
-    // (the report then scores an unsharded realization — see below). ----
-    model::Dataset published;
+    // cell, so a --evaluate report describes exactly the written output
+    // (and its --shards partition, which holds the same bytes). ----------
     const std::int64_t shards_arg = cli.GetInt("shards");
     if (shards_arg < 0) {
       std::cerr << "--shards must be >= 0 (got " << shards_arg << ")\n";
@@ -191,29 +190,24 @@ int main(int argc, char** argv) {
     }
     util::Rng rng(util::DeriveStreamSeed(
         run.seed, model::Fnv1a64(name.data(), name.size()), 0));
-    if (shards_arg > 0) {
-      const model::ShardedDataset partition = model::ShardedDataset::Partition(
-          source.view().Materialize(), static_cast<std::size_t>(shards_arg));
-      const model::ShardedDataset result =
-          core::ApplyMechanismSharded(*mechanism, partition, rng);
-      const std::string shard_dir = cli.GetString("output") + ".shards";
-      result.SaveShards(shard_dir);
-      std::cout << "\n" << name << " over " << shards_arg
-                << " shards; partition persisted to " << shard_dir << "\n";
-      published = result.Merge();
-    } else {
-      published = mechanism->ApplyView(source.view(), rng);
-      std::cout << "\n" << name << ": published "
-                << published.TraceCount() << " traces, "
-                << published.EventCount() << " events\n";
-    }
+    const model::Dataset published = mechanism->ApplyView(source.view(), rng);
+    std::cout << "\n" << name << ": published " << published.TraceCount()
+              << " traces, " << published.EventCount() << " events\n";
     model::SaveDataset(published, cli.GetString("output"));
     std::cout << "Published dataset written to " << cli.GetString("output")
               << "\n";
+    if (shards_arg > 0) {
+      const std::string shard_dir = cli.GetString("output") + ".shards";
+      model::ShardedDataset::Partition(published,
+                                       static_cast<std::size_t>(shards_arg))
+          .SaveShards(shard_dir);
+      std::cout << "Partitioned into " << shards_arg << " shards at "
+                << shard_dir << "\n";
+    }
 
     // ---- Optional: score the publication with the scenario engine. The
     // engine re-binds the source and re-applies the mechanism (seeded
-    // identically, so unsharded reports describe the written output) —
+    // identically, so the report describes the written output) —
     // for .mpc inputs the re-bind is a microsecond mmap; for huge CSV
     // inputs prefer converting to .mpc first (see README quickstart). ---
     const std::string evaluate = cli.GetString("evaluate");
@@ -222,12 +216,6 @@ int main(int argc, char** argv) {
                    "run; the publish path above did not use it.\n";
     }
     if (!evaluate.empty()) {
-      if (shards_arg > 0) {
-        std::cout << "\nnote: --evaluate scores an unsharded realization "
-                     "of " << name << "; the written sharded output used "
-                     "per-shard RNG streams and differs for stochastic "
-                     "mechanisms.\n";
-      }
       core::ScenarioSpec spec;
       spec.source = source_spec;
       spec.mechanisms = {mechanism_spec};

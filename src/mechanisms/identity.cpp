@@ -2,12 +2,6 @@
 
 namespace mobipriv::mech {
 
-model::Dataset Identity::Apply(const model::Dataset& input,
-                               util::Rng& rng) const {
-  (void)rng;
-  return input.Clone();
-}
-
 model::EventStore Identity::ApplyToStore(const model::DatasetView& input,
                                          util::Rng& rng) const {
   (void)rng;
@@ -33,13 +27,7 @@ model::EventStore Identity::ApplyToStore(const model::DatasetView& input,
     table.push_back(
         model::EventStore::TraceRange{t.user(), begin, time.size()});
   }
-  std::vector<std::string> names;
-  names.reserve(input.UserCount());
-  for (model::UserId id = 0;
-       id < static_cast<model::UserId>(input.UserCount()); ++id) {
-    names.push_back(input.UserName(id));
-  }
-  return model::EventStore::FromColumns(std::move(names), std::move(table),
+  return model::EventStore::FromColumns(input.UserNames(), std::move(table),
                                         std::move(lat), std::move(lng),
                                         std::move(time));
 }

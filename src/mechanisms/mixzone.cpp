@@ -354,8 +354,8 @@ void SortColumnsByTime(StitchedColumns& st) {
 
 /// The whole mechanism: detection, clustering, occurrence grouping,
 /// identity permutation and reassembly — everything except the final
-/// packaging of the stitched columns, which the Dataset and EventStore
-/// entry points each do natively. Output traces arrive per-trace
+/// packaging of the stitched columns into an EventStore
+/// (ApplyToStoreWithReport). Output traces arrive per-trace
 /// time-sorted, in (ascending final identity, chronological) order — the
 /// exact trace order and bytes of the historical Dataset path.
 std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
@@ -776,18 +776,6 @@ std::string MixZone::Name() const {
          "m,w=" + std::to_string(config_.time_window_s) + "s]";
 }
 
-model::Dataset MixZone::Apply(const model::Dataset& input,
-                              util::Rng& rng) const {
-  MixZoneReport report;
-  return ApplyWithReport(input, rng, report);
-}
-
-model::Dataset MixZone::ApplyView(const model::DatasetView& input,
-                                  util::Rng& rng) const {
-  MixZoneReport report;
-  return ApplyViewWithReport(input, rng, report);
-}
-
 model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
                                         util::Rng& rng,
                                         MixZoneReport& report) const {
@@ -797,22 +785,7 @@ model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
 model::Dataset MixZone::ApplyViewWithReport(const model::DatasetView& input,
                                             util::Rng& rng,
                                             MixZoneReport& report) const {
-  const std::vector<StitchedColumns> stitched =
-      MixCore(config_, input, rng, report);
-  model::Dataset output;
-  for (model::UserId id = 0; id < input.UserCount(); ++id) {
-    output.InternUser(input.UserName(id));
-  }
-  for (const StitchedColumns& st : stitched) {
-    std::vector<model::Event> events;
-    events.reserve(st.size());
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      events.push_back(
-          model::Event{geo::LatLng{st.lat[i], st.lng[i]}, st.time[i]});
-    }
-    output.AddTrace(model::Trace(st.user, std::move(events)));
-  }
-  return output;
+  return ApplyToStoreWithReport(input, rng, report).ToDataset();
 }
 
 model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
@@ -853,15 +826,7 @@ model::EventStore MixZone::ApplyToStoreWithReport(
                                                   offset[t], offset[t + 1]});
   }
 
-  // Names carried through in id order, exactly like the Dataset path's
-  // InternUser loop (and the per-trace mechanisms' store path).
-  std::vector<std::string> names;
-  names.reserve(input.UserCount());
-  for (model::UserId id = 0;
-       id < static_cast<model::UserId>(input.UserCount()); ++id) {
-    names.push_back(input.UserName(id));
-  }
-  return model::EventStore::FromColumns(std::move(names), std::move(table),
+  return model::EventStore::FromColumns(input.UserNames(), std::move(table),
                                         std::move(lat), std::move(lng),
                                         std::move(time));
 }

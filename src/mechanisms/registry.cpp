@@ -6,7 +6,7 @@
 #include <sstream>
 
 // The "ours" pipeline is assembled in core/ (it composes two mech/ stages
-// and owns the shard-wise run logic), but its Name() must round-trip
+// and fills the pipeline report), but its Name() must round-trip
 // through this registry like every baseline's, so the registry reaches up
 // one layer for the one composite the paper is about.
 #include "core/anonymizer.h"

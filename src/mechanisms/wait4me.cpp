@@ -37,21 +37,22 @@ std::string Wait4Me::Name() const {
          ",delta=" + util::FormatDouble(config_.delta_m, 0) + "m]";
 }
 
-model::Dataset Wait4Me::Apply(const model::Dataset& input,
-                              util::Rng& rng) const {
-  return ApplyView(model::DatasetView::Of(input), rng);
-}
-
-model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
-                                  util::Rng& rng) const {
+model::EventStore Wait4Me::ApplyToStore(const model::DatasetView& input,
+                                        util::Rng& rng) const {
   (void)rng;  // deterministic given the input
-  model::Dataset output;
-  for (model::UserId id = 0; id < input.UserCount(); ++id) {
-    output.InternUser(input.UserName(id));
-  }
+  // Published columns, filled cluster by cluster in step 3.
+  std::vector<double> lat;
+  std::vector<double> lng;
+  std::vector<util::Timestamp> time;
+  std::vector<model::EventStore::TraceRange> table;
+  const auto output = [&] {
+    return model::EventStore::FromColumns(input.UserNames(), std::move(table),
+                                          std::move(lat), std::move(lng),
+                                          std::move(time));
+  };
   last_suppression_ratio_ = 0.0;
   const auto& traces = input.traces();
-  if (traces.empty()) return output;
+  if (traces.empty()) return output();
 
   // ---- 1. Temporal alignment onto the median common span. ----
   // Use the span covered by most traces: [median of starts, median of ends].
@@ -64,7 +65,7 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
   }
   if (starts.empty()) {
     last_suppression_ratio_ = 1.0;
-    return output;
+    return output();
   }
   std::sort(starts.begin(), starts.end());
   std::sort(ends.begin(), ends.end());
@@ -73,7 +74,7 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
   const auto span_end = static_cast<util::Timestamp>(ends[ends.size() / 2]);
   if (span_end <= span_start) {
     last_suppression_ratio_ = 1.0;
-    return output;
+    return output();
   }
 
   const geo::LocalProjection projection(input.BoundingBox().Center());
@@ -147,8 +148,7 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
     // a different local projection (frames differ by ~1e-4 relative).
     const double radius = config_.delta_m / 2.0 * 0.999;
     for (const std::size_t member : cluster) {
-      model::Trace out_trace;
-      out_trace.set_user(traces[alive[member]].user());
+      const std::size_t begin = time.size();
       for (std::size_t step = 0; step < grid.size(); ++step) {
         geo::Point2 p = aligned[member][step];
         const geo::Point2 offset = p - centroid[step];
@@ -156,17 +156,20 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
         if (dist > radius) {
           p = centroid[step] + offset * (radius / dist);
         }
-        out_trace.Append(
-            model::Event{projection.Unproject(p), grid[step]});
+        const geo::LatLng q = projection.Unproject(p);
+        lat.push_back(q.lat);
+        lng.push_back(q.lng);
+        time.push_back(grid[step]);
       }
-      output.AddTrace(std::move(out_trace));
+      table.push_back(model::EventStore::TraceRange{
+          traces[alive[member]].user(), begin, time.size()});
       ++published;
     }
   }
   last_suppression_ratio_ =
       1.0 - static_cast<double>(published) /
                 static_cast<double>(traces.size());
-  return output;
+  return output();
 }
 
 }  // namespace mobipriv::mech

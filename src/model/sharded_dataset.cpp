@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "model/atomic_file.h"
@@ -14,6 +15,7 @@
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "util/fault.h"
+#include "util/thread_pool.h"
 
 namespace mobipriv::model {
 
@@ -128,12 +130,6 @@ Dataset ShardedDataset::Merge() const {
   for (const Dataset& shard : shards_) {
     for (const Trace& trace : shard.traces()) append(shard, trace);
   }
-  return out;
-}
-
-ShardedDataset ShardedDataset::EmptyLike() const {
-  ShardedDataset out(shards_.size());
-  out.global_names_ = global_names_;
   return out;
 }
 

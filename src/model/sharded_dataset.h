@@ -13,22 +13,19 @@
 //     worker count, ingestion chunking or trace order — so sharded
 //     ingestion is deterministic by construction.
 //
-// Shard-wise pipeline runs (core::Anonymizer::ApplySharded) process each
-// shard independently; this is the in-process form of the multi-process /
-// NUMA sharding the roadmap targets — the shard boundary is already the
-// process boundary, one serialization step away.
+// A SaveShards directory is what the scenario engine's shard-streamed
+// executor maps one shard at a time and what supervised worker processes
+// (core/shard_exec) split between them: the shard boundary is the process
+// boundary.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "model/dataset.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace mobipriv::model {
 
@@ -49,14 +46,10 @@ class ShardedDataset {
                                                 std::size_t shard_count);
 
   /// Inverse of Partition: byte-identical to the partitioned dataset.
-  /// For sharded datasets whose shards were rebuilt (e.g. by a shard-wise
-  /// mechanism run) the recorded order no longer applies; traces then
+  /// For sharded datasets whose shards were replaced (mutable_shard) the
+  /// recorded order no longer applies; traces then
   /// concatenate in (shard, local index) order — still deterministic.
   [[nodiscard]] Dataset Merge() const;
-
-  /// Empty sharded dataset with the same shard count and global name table
-  /// (the shape shard-wise transforms write their outputs into).
-  [[nodiscard]] ShardedDataset EmptyLike() const;
 
   /// What one SaveShards call actually touched. Unchanged shards are
   /// detected by content fingerprint (ColumnarFileMatches) and skipped —
@@ -204,30 +197,5 @@ void MergeShardManifests(const std::string& dir, std::size_t shard_count);
 /// (model::MapColumnar for the zero-copy path).
 [[nodiscard]] std::string ShardDataPath(const std::string& dir,
                                         std::size_t shard);
-
-/// The shard fan-out scaffold every shard-wise runner shares (so the
-/// determinism scheme lives in exactly one place): one master draw from
-/// `rng`, per-shard streams seeded DeriveStreamSeed(master, shard, 0),
-/// shards transformed concurrently by `fn(shard_dataset, shard_rng, s)`,
-/// outputs assembled in shard order into an EmptyLike result. The caller's
-/// rng advances by exactly one draw; the result is byte-identical at any
-/// worker count.
-template <typename Fn>
-[[nodiscard]] ShardedDataset TransformSharded(const ShardedDataset& input,
-                                              util::Rng& rng, Fn&& fn) {
-  const std::size_t n = input.ShardCount();
-  const std::uint64_t master = rng.NextU64();
-  std::vector<Dataset> outputs(n);
-  util::ParallelForEach(n, [&](std::size_t s) {
-    util::Rng shard_rng(
-        util::DeriveStreamSeed(master, static_cast<std::uint64_t>(s), 0));
-    outputs[s] = fn(input.shard(s), shard_rng, s);
-  });
-  ShardedDataset result = input.EmptyLike();
-  for (std::size_t s = 0; s < n; ++s) {
-    result.mutable_shard(s) = std::move(outputs[s]);
-  }
-  return result;
-}
 
 }  // namespace mobipriv::model

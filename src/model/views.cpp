@@ -99,6 +99,13 @@ std::string DatasetView::UserName(UserId id) const {
   return "user" + std::to_string(id);
 }
 
+std::vector<std::string> DatasetView::UserNames() const {
+  std::vector<std::string> names;
+  names.reserve(user_count_);
+  for (UserId id = 0; id < user_count_; ++id) names.push_back(UserName(id));
+  return names;
+}
+
 geo::GeoBoundingBox DatasetView::BoundingBox() const {
   geo::GeoBoundingBox box;
   for (const TraceView& t : traces_) box.Extend(t.BoundingBox());

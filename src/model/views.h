@@ -153,6 +153,9 @@ class DatasetView {
   [[nodiscard]] std::span<const std::string> names() const noexcept {
     return names_;
   }
+  /// UserName(id) for every id in [0, UserCount()), in id order — the name
+  /// table a mechanism's output store carries through unchanged.
+  [[nodiscard]] std::vector<std::string> UserNames() const;
 
   [[nodiscard]] geo::GeoBoundingBox BoundingBox() const;
 
@@ -175,10 +178,9 @@ class DatasetView {
 
 /// Process-wide count of TraceView::Materialize calls (per-trace copies:
 /// one owning std::vector<Event> built from a view). The SoA-native
-/// mechanism path (Mechanism::ApplyToStore with a columns kernel) performs
-/// ZERO of these — kernels read the view's columns and write column
-/// buffers; only the legacy adapters (default ApplyToTraceColumns,
-/// EventStore::ToDataset) copy traces. test_scenario_engine pins that an
+/// mechanism path (Mechanism::ApplyToStore) performs ZERO of these —
+/// kernels read the view's columns and write column buffers; only the AoS
+/// adapters (Apply/ApplyView, via EventStore::ToDataset) copy traces. test_scenario_engine pins that an
 /// engine grid over an mmap'd `.mpc` source leaves this counter unchanged.
 [[nodiscard]] std::size_t TraceCopyCount() noexcept;
 

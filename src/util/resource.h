@@ -9,10 +9,19 @@
 
 namespace mobipriv::util {
 
-/// Peak resident set size of the current process in bytes, as reported by
-/// getrusage(RUSAGE_SELF). Monotone over the process lifetime (the kernel
-/// high-water mark never resets), so deltas across a phase only bound that
-/// phase from above. Returns 0 on platforms without getrusage.
+/// Peak resident set size of the current process in bytes: VmHWM from
+/// /proc/self/status where available (resettable, see ResetPeakRss),
+/// otherwise getrusage(RUSAGE_SELF)'s lifetime ru_maxrss. Returns 0 on
+/// platforms with neither.
 [[nodiscard]] std::uint64_t PeakRssBytes() noexcept;
+
+/// Starts a new peak-RSS measurement window: returns freed heap to the
+/// kernel (malloc_trim) and resets the kernel's high-water mark to the
+/// current RSS (writes "5" to /proc/self/clear_refs), so PeakRssBytes()
+/// afterwards reports the peak of what runs next, not of the whole
+/// process lifetime. Returns false when the reset is unsupported (not
+/// Linux, or /proc/self/clear_refs not writable); PeakRssBytes() is then
+/// still the lifetime peak.
+bool ResetPeakRss() noexcept;
 
 }  // namespace mobipriv::util

@@ -12,10 +12,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -358,6 +361,140 @@ TEST_F(ShardExec, SupervisorDetectsHeartbeatLoss) {
   EXPECT_EQ(stats.worker_failures, 1u);
   fs::remove_all(out_dir);
   fs::remove_all(dir);
+}
+
+// ---- Worker protocol: malformed-input handling ------------------------------
+
+core::wp::WorkerRequest SampleRequest() {
+  core::wp::WorkerRequest request;
+  request.dir = "/data/world.shards";
+  request.out_dir = "/tmp/results";
+  request.stem = "stage-3";
+  request.spec_text = "geo_ind[eps=0.01]";
+  request.prefix_name = "geo_ind[eps=0.01]";
+  request.seed = std::numeric_limits<std::int64_t>::max();  // widest decodable
+  request.attempt = 2;
+  request.shards = {0, 3, 7};
+  return request;
+}
+
+/// DecodeRequest's error text for `payload`, asserting it was rejected.
+std::string DecodeError(const std::string& payload) {
+  core::wp::WorkerRequest request;
+  std::string error;
+  EXPECT_FALSE(core::wp::DecodeRequest(payload, &request, &error)) << payload;
+  return error;
+}
+
+/// SampleRequest()'s encoding with the line starting `key=` replaced by
+/// `line` (or removed when `line` is empty).
+std::string WithLine(const std::string& key, const std::string& line) {
+  const std::string encoded = core::wp::EncodeRequest(SampleRequest());
+  const std::size_t at = encoded.find(key + "=");
+  const std::size_t end = encoded.find('\n', at) + 1;
+  return encoded.substr(0, at) + (line.empty() ? "" : line + "\n") +
+         encoded.substr(end);
+}
+
+/// Frame header: u32 LE payload length `n`, then the type byte.
+std::string FrameHeader(char type, std::uint32_t n) {
+  std::string header;
+  for (int i = 0; i < 4; ++i) header += static_cast<char>((n >> (8 * i)) & 0xff);
+  return header + type;
+}
+
+std::string Frame(char type, const std::string& payload) {
+  return FrameHeader(type, static_cast<std::uint32_t>(payload.size())) +
+         payload;
+}
+
+TEST(WorkerProtocol, RequestRoundTrips) {
+  const core::wp::WorkerRequest sent = SampleRequest();
+  core::wp::WorkerRequest got;
+  std::string error;
+  ASSERT_TRUE(core::wp::DecodeRequest(core::wp::EncodeRequest(sent), &got,
+                                      &error))
+      << error;
+  EXPECT_EQ(got.dir, sent.dir);
+  EXPECT_EQ(got.out_dir, sent.out_dir);
+  EXPECT_EQ(got.stem, sent.stem);
+  EXPECT_EQ(got.spec_text, sent.spec_text);
+  EXPECT_EQ(got.prefix_name, sent.prefix_name);
+  EXPECT_EQ(got.seed, sent.seed);
+  EXPECT_EQ(got.attempt, sent.attempt);
+  EXPECT_EQ(got.shards, sent.shards);
+
+  // An empty shard list is a valid (no-op) request.
+  core::wp::WorkerRequest empty = SampleRequest();
+  empty.shards.clear();
+  ASSERT_TRUE(core::wp::DecodeRequest(core::wp::EncodeRequest(empty), &got,
+                                      &error))
+      << error;
+  EXPECT_TRUE(got.shards.empty());
+}
+
+TEST(WorkerProtocol, DecodeRejectsEveryMalformedRequest) {
+  EXPECT_EQ(DecodeError(WithLine("stem", "stem stage-3")),
+            "request line without '=': stem stage-3");
+  EXPECT_EQ(DecodeError(WithLine("stem", "colour=blue")),
+            "unknown request key: colour");
+  EXPECT_EQ(DecodeError(WithLine("seed", "seed=-1")), "malformed seed: -1");
+  EXPECT_EQ(DecodeError(WithLine("seed", "seed=7x")), "malformed seed: 7x");
+  EXPECT_EQ(DecodeError(WithLine("attempt", "attempt=-3")),
+            "malformed attempt: -3");
+  EXPECT_EQ(DecodeError(WithLine("attempt", "attempt=")),
+            "malformed attempt: ");
+  EXPECT_EQ(DecodeError(WithLine("shards", "shards=1,x,3")),
+            "malformed shard index: 1,x,3");
+  EXPECT_EQ(DecodeError(WithLine("shards", "shards=1,-2")),
+            "malformed shard index: 1,-2");
+  EXPECT_EQ(DecodeError(WithLine("shards", "shards=0,3,")),
+            "malformed shard index: 0,3,");
+  for (const char* key : {"dir", "out_dir", "stem", "spec", "prefix",
+                          "shards"}) {
+    EXPECT_EQ(DecodeError(WithLine(key, "")), "incomplete request") << key;
+  }
+  EXPECT_EQ(DecodeError(""), "incomplete request");
+}
+
+TEST(WorkerProtocol, FrameReaderReassemblesByteByByte) {
+  const std::string payload = core::wp::EncodeRequest(SampleRequest());
+  const std::string stream = Frame(core::wp::kFrameApply, payload) +
+                             Frame(core::wp::kFrameHeartbeat, "") +
+                             Frame(core::wp::kFrameFail, "disk full");
+  core::wp::FrameReader reader;
+  std::vector<std::pair<char, std::string>> frames;
+  for (const char byte : stream) {
+    reader.Feed(&byte, 1);
+    char type = 0;
+    std::string got;
+    while (reader.Next(&type, &got)) frames.emplace_back(type, got);
+  }
+  EXPECT_FALSE(reader.corrupt());
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0], std::make_pair(core::wp::kFrameApply, payload));
+  EXPECT_EQ(frames[1], std::make_pair(core::wp::kFrameHeartbeat,
+                                      std::string()));
+  EXPECT_EQ(frames[2], std::make_pair(core::wp::kFrameFail,
+                                      std::string("disk full")));
+}
+
+TEST(WorkerProtocol, OversizedLengthHeaderCorruptsTheStreamForGood) {
+  const std::string header = FrameHeader(
+      core::wp::kFrameOk,
+      static_cast<std::uint32_t>(core::wp::kMaxFramePayload + 1));
+  core::wp::FrameReader reader;
+  reader.Feed(header.data(), header.size());
+  char type = 0;
+  std::string payload;
+  EXPECT_FALSE(reader.Next(&type, &payload));
+  EXPECT_TRUE(reader.corrupt());
+
+  // A well-formed frame arriving afterwards must not resynchronize.
+  const std::string good = Frame(core::wp::kFrameOk, "");
+  reader.Feed(good.data(), good.size());
+  EXPECT_FALSE(reader.Next(&type, &payload));
+  EXPECT_TRUE(reader.corrupt());
 }
 
 }  // namespace

@@ -1,20 +1,15 @@
-// Sharding contracts: stable user->shard assignment, exact Partition/Merge
-// round trips at any shard count, and worker-count-invariant shard-wise
-// pipeline runs.
+// Sharding contracts: stable user->shard assignment and exact
+// Partition/Merge round trips at any shard count.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
-#include "core/anonymizer.h"
-#include "core/experiment.h"
-#include "mechanisms/identity.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
-#include "util/thread_pool.h"
 
 namespace mobipriv {
 namespace {
@@ -99,50 +94,6 @@ TEST(ShardedDataset, AllTracesOfAUserLandInOneShard) {
     }
     EXPECT_EQ(shards_holding, 1u) << name;
   }
-}
-
-TEST(ShardedDataset, ApplyShardedIsWorkerCountInvariant) {
-  const model::Dataset dataset = TestWorld();
-  const auto sharded = model::ShardedDataset::Partition(dataset, 3);
-  const core::Anonymizer anonymizer;
-
-  util::Rng serial_rng(2015);
-  model::ShardedDataset serial_out;
-  std::vector<core::PipelineReport> serial_reports;
-  {
-    const util::ScopedParallelism one(1);
-    serial_out = anonymizer.ApplySharded(sharded, serial_rng, &serial_reports);
-  }
-  util::Rng parallel_rng(2015);
-  model::ShardedDataset parallel_out;
-  std::vector<core::PipelineReport> parallel_reports;
-  {
-    const util::ScopedParallelism eight(8);
-    parallel_out =
-        anonymizer.ApplySharded(sharded, parallel_rng, &parallel_reports);
-  }
-  EXPECT_EQ(serial_rng.NextU64(), parallel_rng.NextU64());
-  ASSERT_EQ(serial_reports.size(), parallel_reports.size());
-  for (std::size_t s = 0; s < serial_reports.size(); ++s) {
-    EXPECT_EQ(serial_reports[s].ToString(), parallel_reports[s].ToString());
-  }
-  ExpectDatasetsIdentical(serial_out.Merge(), parallel_out.Merge());
-}
-
-TEST(ShardedDataset, IdentityMechanismShardwisePreservesEverything) {
-  const model::Dataset dataset = TestWorld();
-  const auto sharded = model::ShardedDataset::Partition(dataset, 5);
-  util::Rng rng(1);
-  const mech::Identity identity;
-  const auto out = core::ApplyMechanismSharded(identity, sharded, rng);
-  EXPECT_EQ(out.ShardCount(), sharded.ShardCount());
-  EXPECT_EQ(out.EventCount(), dataset.EventCount());
-  EXPECT_EQ(out.TraceCount(), dataset.TraceCount());
-  // Identity keeps every shard's contents; the merged dataset holds the
-  // same users and events (trace order is shard-order after a rebuild).
-  const model::Dataset merged = out.Merge();
-  EXPECT_EQ(merged.UserCount(), dataset.UserCount());
-  EXPECT_EQ(merged.EventCount(), dataset.EventCount());
 }
 
 TEST(ShardedDataset, EmptyDatasetPartitions) {
