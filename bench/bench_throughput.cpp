@@ -86,7 +86,14 @@ BENCHMARK(BM_SpeedSmoothing)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillise
 void BM_MixZone(benchmark::State& state) {
   RunMechanism(state, mech::MixZone{});
 }
-BENCHMARK(BM_MixZone)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
+// Threaded rows (the mechanism fans out on the pool) time the wall clock:
+// items/s from main-thread CPU time would overstate them.
+BENCHMARK(BM_MixZone)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(20)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullPipeline(benchmark::State& state) {
   RunMechanism(state, core::Anonymizer{});
@@ -96,6 +103,7 @@ BENCHMARK(BM_FullPipeline)
     ->Arg(10)
     ->Arg(20)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_GeoInd(benchmark::State& state) {
@@ -622,9 +630,9 @@ void BM_DistanceBatchMask(benchmark::State& state) {
 BENCHMARK(BM_DistanceBatchMask)->Arg(4096)->Arg(65536);
 
 void BM_MixZoneEncounterScan(benchmark::State& state) {
-  // Detection only (flatten + projection + CSR-grid encounter scan): the
-  // vectorized hot loop of BM_MixZone without clustering, permutation or
-  // output assembly diluting it.
+  // Detection only (flatten + projection + time-ordered cell grid + the
+  // counting sweep): the vectorized hot loop of BM_MixZone without
+  // clustering, permutation or output assembly diluting it.
   const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
   const mech::MixZone mixzone;
   const model::DatasetView view = model::DatasetView::Of(world.dataset());
@@ -633,14 +641,18 @@ void BM_MixZoneEncounterScan(benchmark::State& state) {
     benchmark::DoNotOptimize(mixzone.CountEncounters(view));
     events += world.dataset().EventCount();
   }
-  // Traffic: reads lat/lng/time per event once during flatten+project;
-  // the cell scans re-read x/y slices (amortized ~1 extra pass).
-  AnnotateKernel(state, events, events * 5 * sizeof(double));
+  // Traffic: reads lat/lng/time per event once during flatten+project,
+  // plus the grid's x/y/time slices once. Excluded (data dependent): each
+  // slice is swept again by the window cursors of up to 8 more
+  // neighbouring cells, and x/y inside overlapping time windows are
+  // re-read per probe.
+  AnnotateKernel(state, events, events * 6 * sizeof(double));
 }
 BENCHMARK(BM_MixZoneEncounterScan)
     ->Arg(5)
     ->Arg(10)
     ->Arg(20)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- ApplyToTraceColumns kernels, SoA in -> SoA out ------------------------
@@ -698,7 +710,10 @@ BENCHMARK(BM_KernelSpeedSmoothing)->Arg(20)->Unit(benchmark::kMillisecond);
 void BM_KernelMixZone(benchmark::State& state) {
   RunKernelToStore(state, mech::MixZone{});
 }
-BENCHMARK(BM_KernelMixZone)->Arg(20)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelMixZone)
+    ->Arg(20)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ResampleUniform(benchmark::State& state) {
   // A 1000-vertex zig-zag path resampled at 10 m.

@@ -75,9 +75,15 @@ def load(path):
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        times[bench["name"]] = float(bench["real_time"])
+        # UseRealTime() rows carry a "/real_time" suffix; both sides are
+        # compared on real_time anyway, so a baseline recorded before a
+        # row switched still matches it.
+        name = bench["name"]
+        if name.endswith("/real_time"):
+            name = name[:-len("/real_time")]
+        times[name] = float(bench["real_time"])
         if "peak_rss_mb" in bench:
-            rss[bench["name"]] = float(bench["peak_rss_mb"])
+            rss[name] = float(bench["peak_rss_mb"])
     return doc.get("context", {}), times, rss
 
 

@@ -1,10 +1,12 @@
 #include "core/evaluator.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
 #include "attacks/evaluators.h"
 #include "metrics/evaluators.h"
+#include "mechanisms/mixzone.h"
 #include "privacy/evaluators.h"
 
 namespace mobipriv::core {
@@ -101,8 +103,14 @@ Registry& GlobalRegistry() {
       config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
       config.time_window_s = static_cast<util::Timestamp>(
           spec.IntOf("w", config.time_window_s));
-      config.min_users = static_cast<std::size_t>(spec.IntOf(
-          "min_users", static_cast<std::int64_t>(config.min_users)));
+      const std::int64_t min_users = spec.IntOf(
+          "min_users", static_cast<std::int64_t>(config.min_users));
+      config.min_users =
+          static_cast<std::size_t>(std::max<std::int64_t>(min_users, 0));
+      if (const std::string error = mech::ValidateMixZoneConfig(config);
+          !error.empty()) {
+        throw util::SpecError("spec " + spec.ToString() + ": " + error);
+      }
       return std::make_unique<privacy::UncertaintyEvaluator>(config);
     };
     return r;

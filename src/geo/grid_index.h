@@ -53,6 +53,16 @@ struct NearestResult {
   return static_cast<std::size_t>(h);
 }
 
+/// Grid coordinate c + d with two's-complement wraparound. Non-finite
+/// points share one extreme cell (the float-to-int conversion yields
+/// INT64_MIN on x86-64), and stepping to that cell's neighbours must not
+/// be signed overflow.
+[[nodiscard]] constexpr std::int64_t CellStep(std::int64_t c,
+                                              std::int64_t d) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(c) +
+                                   static_cast<std::uint64_t>(d));
+}
+
 /// Maps points (with caller-supplied payload ids) to grid cells and answers
 /// radius / nearest queries by scanning cell neighbourhoods. Results are
 /// always exact — candidates are verified with a true distance test — the
@@ -256,7 +266,8 @@ class GridIndex {
     for (std::int64_t dx = -span; dx <= span; ++dx) {
       for (std::int64_t dy = -span; dy <= span; ++dy) {
         const std::int32_t head =
-            CellHead(CellKey{center_key.cx + dx, center_key.cy + dy});
+            CellHead(CellKey{CellStep(center_key.cx, dx),
+                             CellStep(center_key.cy, dy)});
         if (head == -1) continue;
         if (!visit(head)) return;
       }

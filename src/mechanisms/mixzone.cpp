@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
+#include <cstdio>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "geo/grid_index.h"
 #include "util/simd.h"
@@ -25,12 +28,6 @@ struct FlatEvent {
   geo::Point2 position;
   util::Timestamp time = 0;
   model::UserId user = model::kInvalidUser;
-};
-
-/// A raw co-location of two distinct users.
-struct Encounter {
-  geo::Point2 midpoint;
-  util::Timestamp time = 0;
 };
 
 /// A maximal in-zone run of one trace.
@@ -56,15 +53,14 @@ struct StitchedColumns {
 
 /// Cell-bucketed CSR layout of the flat events, replacing per-event
 /// GridIndex radius queries in the detection hot loop. Events are grouped
-/// by grid cell into contiguous SoA slices ordered by flat id, so
+/// by grid cell into contiguous SoA slices ordered by (time, flat id), so
 ///   * a cell scan streams packed x/y/time/user arrays (no intrusive-chain
 ///     pointer chasing), and
-///   * the encounter rule's "only pairs (a, b) with b > a" filter becomes a
-///     binary search for the first in-cell id greater than a — candidates
-///     below a are never visited instead of being visited and discarded.
-/// Scanning a cell slice in storage order reproduces the GridIndex FIFO
-/// (insertion == id) order exactly, which pins the encounter sequence — and
-/// with it zone clustering and the final output — bit for bit.
+///   * the encounter rule's time window is a contiguous sub-slice (found by
+///     sliding cursors or a binary search): only the candidates within
+///     the window of the probe are ever visited.
+/// Slice order is NOT flat-id order; a scan that must emit in id order
+/// (zone clustering, zone hits) sorts what it collects.
 class EventCellGrid {
  public:
   EventCellGrid(double cell_size, const std::vector<FlatEvent>& flat)
@@ -114,7 +110,8 @@ class EventCellGrid {
       for (std::int64_t dx = -1; dx <= 1; ++dx) {
         for (std::int64_t dy = -1; dy <= 1; ++dy) {
           neighbors_[c][static_cast<std::size_t>(k++)] =
-              Find(cell_cx_[c] + dx, cell_cy_[c] + dy);
+              Find(geo::CellStep(cell_cx_[c], dx),
+                   geo::CellStep(cell_cy_[c], dy));
         }
       }
     }
@@ -123,21 +120,37 @@ class EventCellGrid {
     for (std::size_t c = 0; c < counts.size(); ++c) {
       begin_[c + 1] = begin_[c] + counts[c];
     }
-    x_.resize(n);
-    y_.resize(n);
-    time_.resize(n);
-    user_.resize(n);
+    // Bucket ids by cell (id-ascending within a cell), then order each
+    // slice by (time, id) and gather its columns.
     id_.resize(n);
     std::vector<std::uint32_t> fill(counts.size(), 0);
     for (std::size_t id = 0; id < n; ++id) {
       const auto cell = static_cast<std::size_t>(event_cell_[id]);
-      const std::size_t pos = begin_[cell] + fill[cell]++;
-      x_[pos] = flat[id].position.x;
-      y_[pos] = flat[id].position.y;
-      time_[pos] = flat[id].time;
-      user_[pos] = flat[id].user;
-      id_[pos] = static_cast<std::uint32_t>(id);
+      id_[begin_[cell] + fill[cell]++] = static_cast<std::uint32_t>(id);
     }
+    x_.resize(n);
+    y_.resize(n);
+    time_.resize(n);
+    user_.resize(n);
+    util::ParallelForEach(counts.size(), [&](std::size_t cell) {
+      const auto first = id_.begin() + static_cast<std::ptrdiff_t>(begin_[cell]);
+      const auto last =
+          id_.begin() + static_cast<std::ptrdiff_t>(begin_[cell + 1]);
+      std::stable_sort(first, last, [&](std::uint32_t a, std::uint32_t b) {
+        return flat[a].time < flat[b].time;
+      });
+      for (std::size_t pos = begin_[cell]; pos < begin_[cell + 1]; ++pos) {
+        const FlatEvent& event = flat[id_[pos]];
+        x_[pos] = event.position.x;
+        y_[pos] = event.position.y;
+        time_[pos] = event.time;
+        user_[pos] = event.user;
+      }
+    });
+  }
+
+  [[nodiscard]] std::size_t CellCount() const noexcept {
+    return neighbors_.size();
   }
 
   /// Dense cell id for grid coordinates, or -1 when the cell is empty.
@@ -162,12 +175,26 @@ class EventCellGrid {
     return neighbors_[static_cast<std::size_t>(cell)];
   }
 
-  /// [begin, end) slice of a dense cell in the SoA arrays (id-ascending).
+  /// [begin, end) slice of a dense cell in the SoA arrays.
   [[nodiscard]] std::size_t CellBegin(std::int32_t cell) const {
     return begin_[static_cast<std::size_t>(cell)];
   }
   [[nodiscard]] std::size_t CellEnd(std::int32_t cell) const {
     return begin_[static_cast<std::size_t>(cell) + 1];
+  }
+
+  /// [first, last) sub-slice of a cell whose times lie in [lo, hi].
+  [[nodiscard]] std::pair<std::size_t, std::size_t> TimeRange(
+      std::int32_t cell, util::Timestamp lo, util::Timestamp hi) const {
+    const auto begin = time_.begin();
+    const auto first =
+        std::lower_bound(begin + static_cast<std::ptrdiff_t>(CellBegin(cell)),
+                         begin + static_cast<std::ptrdiff_t>(CellEnd(cell)),
+                         lo);
+    const auto last = std::upper_bound(
+        first, begin + static_cast<std::ptrdiff_t>(CellEnd(cell)), hi);
+    return {static_cast<std::size_t>(first - begin),
+            static_cast<std::size_t>(last - begin)};
   }
 
   [[nodiscard]] double x(std::size_t i) const { return x_[i]; }
@@ -179,17 +206,6 @@ class EventCellGrid {
   /// Contiguous coordinate slices, the vector scans' load targets.
   [[nodiscard]] const double* x_data() const noexcept { return x_.data(); }
   [[nodiscard]] const double* y_data() const noexcept { return y_.data(); }
-
-  /// First index in the cell slice whose flat id exceeds `flat_id`.
-  [[nodiscard]] std::size_t FirstAbove(std::int32_t cell,
-                                       std::uint32_t flat_id) const {
-    const auto first = id_.begin() + static_cast<std::ptrdiff_t>(
-                                         CellBegin(cell));
-    const auto last =
-        id_.begin() + static_cast<std::ptrdiff_t>(CellEnd(cell));
-    return static_cast<std::size_t>(
-        std::upper_bound(first, last, flat_id) - id_.begin());
-  }
 
  private:
   [[nodiscard]] static std::size_t Hash(std::int64_t cx,
@@ -253,80 +269,255 @@ std::vector<FlatEvent> FlattenAndProject(const model::DatasetView& input,
   return flat;
 }
 
-/// Encounter detection via the cell-bucketed event grid. The per-cell
-/// position window test runs 4 candidates per step; the cheap user/time
-/// checks and pair emission stay scalar on the surviving mask bits, in
-/// ascending candidate order — the sequence is byte-identical to the
-/// scalar scan (the vector mask is the exact inverse of the scalar
-/// `d2 > r2` skip, so NaN coordinates survive it identically too).
-std::vector<Encounter> DetectEncounters(const MixZoneConfig& config,
-                                        const std::vector<FlatEvent>& flat,
-                                        const EventCellGrid& grid) {
+/// The encounter time window [t - w, t + w], saturated at the Timestamp
+/// range.
+std::pair<util::Timestamp, util::Timestamp> TimeWindow(util::Timestamp t,
+                                                       util::Timestamp w) {
+  using Limits = std::numeric_limits<util::Timestamp>;
+  return {t < Limits::min() + w ? Limits::min() : t - w,
+          t > Limits::max() - w ? Limits::max() : t + w};
+}
+
+/// Visits, in slice order, every grid slot j in [first, last) that pairs
+/// with flat event `a_id` under the encounter rule: flat id above a_id,
+/// another user, |dt| <= window, and not d2 > r2. The position test runs 4
+/// candidates per step; the vector mask is the exact inverse of the scalar
+/// `d2 > r2` skip, so NaN coordinates survive it identically. The id, user
+/// and time checks stay scalar on the surviving mask bits.
+template <typename Visit>
+void ForEachPartner(const MixZoneConfig& config, const EventCellGrid& grid,
+                    std::uint32_t a_id, const FlatEvent& a, std::size_t first,
+                    std::size_t last, Visit&& visit) {
+  using util::F64x4;
+  const double r_sq = config.zone_radius_m * config.zone_radius_m;
+  const auto consider = [&](std::size_t j) {
+    if (grid.id(j) <= a_id) return;
+    if (a.user == grid.user(j)) return;
+    if (std::abs(a.time - grid.time(j)) > config.time_window_s) return;
+    visit(j);
+  };
+  const F64x4 vr2 = F64x4::Set1(r_sq);
+  const F64x4 vax = F64x4::Set1(a.position.x);
+  const F64x4 vay = F64x4::Set1(a.position.y);
+  std::size_t j = first;
+  for (; j + util::kSimdWidth <= last; j += util::kSimdWidth) {
+    const F64x4 ddx = F64x4::Load(grid.x_data() + j) - vax;
+    const F64x4 ddy = F64x4::Load(grid.y_data() + j) - vay;
+    // Candidates are the lanes NOT skipped by d2 > r2.
+    int m = ~util::MoveMask(util::CmpLt(vr2, ddx * ddx + ddy * ddy)) & 0xF;
+    while (m != 0) {
+      consider(j + static_cast<std::size_t>(
+                       std::countr_zero(static_cast<unsigned>(m))));
+      m &= m - 1;
+    }
+  }
+  for (; j < last; ++j) {
+    const double ddx = grid.x(j) - a.position.x;
+    const double ddy = grid.y(j) - a.position.y;
+    if (ddx * ddx + ddy * ddy > r_sq) continue;
+    consider(j);
+  }
+}
+
+/// Outcome of the counting pass: the raw encounter count and, per flat
+/// event a, `reach[a]` = the largest distance from a to the midpoint of
+/// any pair (a, b > a) — the pairs the historical scan emitted at a's
+/// turn; -1 marks an event that emits no pair. NaN distances are left out:
+/// they need a non-finite or beyond-2^63-cells coordinate in a's 3x3 cell
+/// block, so a itself is beyond FirstFitZones' coordinate limit and is
+/// never skipped.
+struct EncounterScan {
+  std::size_t encounters = 0;
+  std::vector<double> reach;
+};
+
+/// Counting pass, cell-major: the events of one cell are probed in slice
+/// (time) order, so each neighbour slice's time window only ever slides
+/// forward — two cursors per neighbour instead of two binary searches per
+/// probe. Cells run in parallel; each writes only its own events' reach,
+/// and the per-cell counts are summed in cell order. Nothing per pair is
+/// stored.
+EncounterScan ScanEncounters(const MixZoneConfig& config,
+                             const std::vector<FlatEvent>& flat,
+                             const EventCellGrid& grid) {
+  EncounterScan scan;
+  scan.reach.assign(flat.size(), -1.0);
+  std::vector<std::size_t> cell_counts(grid.CellCount(), 0);
+  util::ParallelForEach(grid.CellCount(), [&](std::size_t c) {
+    const auto cell = static_cast<std::int32_t>(c);
+    const std::array<std::int32_t, 9>& neighbors = grid.Neighbors(cell);
+    std::array<std::size_t, 9> lo{}, hi{};
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      if (neighbors[k] >= 0) lo[k] = hi[k] = grid.CellBegin(neighbors[k]);
+    }
+    std::size_t count = 0;
+    for (std::size_t pos = grid.CellBegin(cell); pos < grid.CellEnd(cell);
+         ++pos) {
+      const std::uint32_t a_id = grid.id(pos);
+      const FlatEvent& a = flat[a_id];
+      const auto [t_lo, t_hi] = TimeWindow(a.time, config.time_window_s);
+      std::size_t pairs = 0;
+      double reach_sq = 0.0;
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        if (neighbors[k] < 0) continue;
+        const std::size_t end = grid.CellEnd(neighbors[k]);
+        while (lo[k] < end && grid.time(lo[k]) < t_lo) ++lo[k];
+        hi[k] = std::max(hi[k], lo[k]);
+        while (hi[k] < end && grid.time(hi[k]) <= t_hi) ++hi[k];
+        ForEachPartner(config, grid, a_id, a, lo[k], hi[k],
+                       [&](std::size_t j) {
+                         ++pairs;
+                         const geo::Point2 mid = geo::Midpoint(
+                             a.position, {grid.x(j), grid.y(j)});
+                         const double dx = mid.x - a.position.x;
+                         const double dy = mid.y - a.position.y;
+                         reach_sq = std::max(reach_sq, dx * dx + dy * dy);
+                       });
+      }
+      if (pairs != 0) scan.reach[a_id] = std::sqrt(reach_sq);
+      count += pairs;
+    }
+    cell_counts[c] = count;
+  });
+  for (const std::size_t count : cell_counts) scan.encounters += count;
+  return scan;
+}
+
+/// Greedy first-fit zone clustering over the encounter midpoints in the
+/// historical emission order (flat id a, then neighbour cell k, then
+/// partner id): a midpoint founds a zone unless GridIndex::AnyWithin finds
+/// an existing centre within the zone radius. The pairs are never stored.
+///
+/// An event is skipped outright when some centre c lies within
+/// r(1 - 1e-6) - reach of it: by the triangle inequality each of its
+/// midpoints is then within r(1 - 1e-6) of c — inside the disc and inside
+/// the midpoint's 3x3 cell block, so AnyWithin would have found c. The
+/// 1e-6 margin absorbs the rounding of the distance tests and of the cell
+/// division; it holds while coordinates stay below r * 2^30 (and r is not
+/// so small that r * r underflows), which also rules out non-finite
+/// coordinates. Every other event re-scans its pairs in emission order.
+///
+/// Both the skip and the per-midpoint test first try the centre that
+/// answered the previous probe (or was just created): when it passes the
+/// very predicate AnyWithin applies (the distance test, and for a midpoint
+/// the 3x3 cell block), the outcome is the same without a grid query.
+std::vector<geo::Point2> FirstFitZones(const MixZoneConfig& config,
+                                       const std::vector<FlatEvent>& flat,
+                                       const EventCellGrid& grid,
+                                       const std::vector<double>& reach) {
   const double radius = config.zone_radius_m;
   const double r_sq = radius * radius;
-  // Cell size equals the query radius, so every radius-r disc is covered
-  // by the 3x3 cell neighbourhood of its centre (grid.Neighbors).
-  // Each id-range block collects its encounters independently; blocks are
-  // concatenated in id order afterwards, so the encounter sequence (and
-  // with it the greedy zone clustering) is byte-identical to a serial
-  // scan whatever the worker count.
-  const std::size_t block_size = 1024;
-  const std::size_t blocks = (flat.size() + block_size - 1) / block_size;
-  std::vector<std::vector<Encounter>> block_encounters(blocks);
-  util::ParallelForEach(blocks, [&](std::size_t block) {
-    using util::F64x4;
-    const F64x4 vr2 = F64x4::Set1(r_sq);
-    const std::uint64_t lo = block * block_size;
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(flat.size(), lo + block_size);
-    for (std::uint64_t id = lo; id < hi; ++id) {
-      const FlatEvent& a = flat[id];
-      const F64x4 vax = F64x4::Set1(a.position.x);
-      const F64x4 vay = F64x4::Set1(a.position.y);
-      // Scalar user/time filter + emission for one in-radius candidate.
-      const auto emit = [&](std::size_t j) {
-        if (a.user == grid.user(j)) return;
-        if (std::abs(a.time - grid.time(j)) > config.time_window_s) return;
-        block_encounters[block].push_back(Encounter{
-            geo::Midpoint(a.position, {grid.x(j), grid.y(j)}),
-            std::min(a.time, grid.time(j))});
-      };
-      // The grid pre-resolves each cell's 3x3 neighbourhood in the same
-      // (dx, dy) order the historical nested loop probed, so swapping the
-      // nine hash lookups for one table row keeps the candidate sequence
-      // byte-identical.
-      for (const std::int32_t cell : grid.Neighbors(grid.EventCell(id))) {
-        if (cell < 0) continue;
-        const std::size_t end = grid.CellEnd(cell);
-        std::size_t j =
-            grid.FirstAbove(cell, static_cast<std::uint32_t>(id));
-        for (; j + util::kSimdWidth <= end; j += util::kSimdWidth) {
-          const F64x4 ddx = F64x4::Load(grid.x_data() + j) - vax;
-          const F64x4 ddy = F64x4::Load(grid.y_data() + j) - vay;
-          // Candidates are the lanes NOT skipped by d2 > r2.
-          int m = ~util::MoveMask(
-                      util::CmpLt(vr2, ddx * ddx + ddy * ddy)) &
-                  0xF;
-          while (m != 0) {
-            emit(j + static_cast<std::size_t>(
-                         std::countr_zero(static_cast<unsigned>(m))));
-            m &= m - 1;
-          }
-        }
-        for (; j < end; ++j) {
-          const double ddx = grid.x(j) - a.position.x;
-          const double ddy = grid.y(j) - a.position.y;
-          if (ddx * ddx + ddy * ddy > r_sq) continue;
-          emit(j);
-        }
+  const double skip_radius = radius * (1.0 - 1e-6);
+  const double coord_limit = radius * 0x1p30;
+  const bool may_skip = radius >= 1e-100;
+  const auto cell_of = [&](double v) {
+    return static_cast<std::int64_t>(std::floor(v / radius));
+  };
+  const auto d_sq = [](geo::Point2 p, geo::Point2 q) {
+    const double dx = q.x - p.x;
+    const double dy = q.y - p.y;
+    return dx * dx + dy * dy;
+  };
+  // Centers are immutable once created, so a grid over them answers the
+  // first-fit probe in O(1) instead of scanning every center per midpoint.
+  std::vector<geo::Point2> centers;
+  geo::GridIndex center_index(radius);
+  const auto in_limits = [&](geo::Point2 p) {
+    return std::abs(p.x) <= coord_limit && std::abs(p.y) <= coord_limit;
+  };
+  // The centre that answered the last probe, or the newest one; only
+  // centres within the coordinate limits are kept (their cells then cannot
+  // overflow the cell-block test).
+  geo::Point2 last;
+  std::int64_t last_cx = 0, last_cy = 0;
+  bool have_last = false;
+  const auto remember = [&](geo::Point2 c) {
+    have_last = may_skip && in_limits(c);
+    if (!have_last) return;
+    last = c;
+    last_cx = cell_of(c.x);
+    last_cy = cell_of(c.y);
+  };
+  // Exactly GridIndex::AnyWithin(m, radius), recording the centre found.
+  const auto covered = [&](geo::Point2 m) {
+    if (have_last && in_limits(m) && d_sq(m, last) <= r_sq) {
+      const std::int64_t dx = cell_of(m.x) - last_cx;
+      const std::int64_t dy = cell_of(m.y) - last_cy;
+      if (dx >= -1 && dx <= 1 && dy >= -1 && dy <= 1) return true;
+    }
+    bool found = false;
+    center_index.ForEachInRadius(m, radius, [&](std::uint64_t, geo::Point2 c) {
+      remember(c);
+      found = true;
+      return false;
+    });
+    return found;
+  };
+  std::vector<std::uint32_t> partners;
+  for (std::size_t id = 0; id < flat.size(); ++id) {
+    if (reach[id] < 0.0) continue;  // emits no pair
+    const FlatEvent& a = flat[id];
+    const double slack = skip_radius - reach[id];
+    if (may_skip && slack > 0.0 && in_limits(a.position)) {
+      const double slack_sq = slack * slack;
+      if (have_last && d_sq(a.position, last) <= slack_sq) continue;
+      bool skip = false;
+      center_index.ForEachInRadius(a.position, slack,
+                                   [&](std::uint64_t, geo::Point2 c) {
+                                     remember(c);
+                                     skip = true;
+                                     return false;
+                                   });
+      if (skip) continue;
+    }
+    const auto a_id = static_cast<std::uint32_t>(id);
+    const auto [t_lo, t_hi] = TimeWindow(a.time, config.time_window_s);
+    for (const std::int32_t cell : grid.Neighbors(grid.EventCell(id))) {
+      if (cell < 0) continue;
+      const auto [first, last_slot] = grid.TimeRange(cell, t_lo, t_hi);
+      partners.clear();
+      ForEachPartner(config, grid, a_id, a, first, last_slot,
+                     [&](std::size_t j) { partners.push_back(grid.id(j)); });
+      std::sort(partners.begin(), partners.end());
+      for (const std::uint32_t b : partners) {
+        const geo::Point2 mid = geo::Midpoint(a.position, flat[b].position);
+        if (covered(mid)) continue;
+        center_index.Insert(mid, static_cast<std::uint64_t>(centers.size()));
+        centers.push_back(mid);
+        remember(mid);
       }
     }
-  });
-  std::vector<Encounter> encounters;
-  for (const auto& block : block_encounters) {
-    encounters.insert(encounters.end(), block.begin(), block.end());
   }
-  return encounters;
+  return centers;
+}
+
+/// The shared front end of every entry point: dataset-wide projection,
+/// flat events and their cell grid (cell size = zone radius, so every
+/// radius-r disc is covered by the 3x3 neighbourhood of its centre's
+/// cell).
+struct ProjectedEvents {
+  std::vector<FlatEvent> flat;
+  EventCellGrid grid;
+
+  ProjectedEvents(const MixZoneConfig& config, const model::DatasetView& input)
+      : flat(FlattenAndProject(input, ProjectionOf(input))),
+        grid(config.zone_radius_m, flat) {}
+
+ private:
+  static geo::LocalProjection ProjectionOf(const model::DatasetView& input) {
+    const geo::GeoBoundingBox bbox = input.BoundingBox();
+    return geo::LocalProjection(bbox.IsEmpty() ? geo::LatLng{0.0, 0.0}
+                                               : bbox.Center());
+  }
+};
+
+/// Steps 1-2: encounter count and first-fit zone centres.
+detail::ZoneDetection ClusterZones(const MixZoneConfig& config,
+                                   const ProjectedEvents& events) {
+  const EncounterScan scan = ScanEncounters(config, events.flat, events.grid);
+  return detail::ZoneDetection{
+      scan.encounters,
+      FirstFitZones(config, events.flat, events.grid, scan.reach)};
 }
 
 /// Stable per-trace time ordering on columns — the exact permutation
@@ -352,47 +543,27 @@ void SortColumnsByTime(StitchedColumns& st) {
   st.time = std::move(time);
 }
 
-/// The whole mechanism: detection, clustering, occurrence grouping,
-/// identity permutation and reassembly — everything except the final
-/// packaging of the stitched columns into an EventStore
-/// (ApplyToStoreWithReport). Output traces arrive per-trace
-/// time-sorted, in (ascending final identity, chronological) order — the
-/// exact trace order and bytes of the historical Dataset path.
+/// Everything after zone detection: occurrence grouping, identity
+/// permutation and reassembly — everything except the final packaging of
+/// the stitched columns into an EventStore (AssembleStore). Output traces
+/// arrive per-trace time-sorted, in (ascending final identity,
+/// chronological) order — the exact trace order and bytes of the
+/// historical Dataset path.
 std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
                                      const model::DatasetView& input,
+                                     const ProjectedEvents& events,
+                                     const detail::ZoneDetection& detection,
                                      util::Rng& rng, MixZoneReport& report) {
   report = MixZoneReport{};
   report.total_events = input.EventCount();
-
-  // ---- 0. Project everything onto one dataset-wide tangent plane. ----
-  const geo::GeoBoundingBox bbox = input.BoundingBox();
-  const geo::LocalProjection projection(
-      bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
+  report.encounters = detection.encounters;
   const auto& traces = input.traces();
-  const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
-
-  // ---- 1. Encounter detection via the cell-bucketed event grid. ----
+  const std::vector<FlatEvent>& flat = events.flat;
+  const EventCellGrid& grid = events.grid;
+  const std::vector<geo::Point2>& zone_centers = detection.centers;
   const double radius = config.zone_radius_m;
   const double r_sq = radius * radius;
   const std::int64_t span = 1;
-  const EventCellGrid grid(radius, flat);
-  const std::vector<Encounter> encounters =
-      DetectEncounters(config, flat, grid);
-  report.encounters = encounters.size();
-
-  // ---- 2. Greedy zone clustering (first-fit by centre distance). ----
-  // Centers are immutable once created, so a grid over them answers the
-  // first-fit probe ("is any existing center within the zone radius?") in
-  // O(1) instead of scanning every center per encounter — AnyWithin
-  // early-exits on the first hit, never collecting the neighbour list.
-  std::vector<geo::Point2> zone_centers;
-  geo::GridIndex center_index(config.zone_radius_m);
-  for (const Encounter& e : encounters) {
-    if (center_index.AnyWithin(e.midpoint, config.zone_radius_m)) continue;
-    center_index.Insert(e.midpoint,
-                        static_cast<std::uint64_t>(zone_centers.size()));
-    zone_centers.push_back(e.midpoint);
-  }
 
   // ---- 3 & 4. Per-zone passages and occurrence grouping. ----
   struct Occurrence {
@@ -429,7 +600,8 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
         static_cast<std::int64_t>(std::floor(center.y / radius));
     for (std::int64_t dx = -span; dx <= span; ++dx) {
       for (std::int64_t dy = -span; dy <= span; ++dy) {
-        const std::int32_t cell = grid.Find(ccx + dx, ccy + dy);
+        const std::int32_t cell =
+            grid.Find(geo::CellStep(ccx, dx), geo::CellStep(ccy, dy));
         if (cell < 0) continue;
         const std::size_t end = grid.CellEnd(cell);
         std::size_t j = grid.CellBegin(cell);
@@ -754,52 +926,9 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
   return out;
 }
 
-}  // namespace
-
-std::string MixZoneReport::ToString() const {
-  std::ostringstream os;
-  os << "zones=" << zones.size() << " occurrences=" << occurrences
-     << " encounters=" << encounters << " swaps=" << swaps_applied
-     << " suppressed=" << suppressed_events << "/" << total_events << " ("
-     << util::FormatDouble(100.0 * SuppressionRatio(), 2) << "%)";
-  return os.str();
-}
-
-MixZone::MixZone(MixZoneConfig config) : config_(config) {
-  assert(config_.zone_radius_m > 0.0);
-  assert(config_.time_window_s > 0);
-  assert(config_.min_users >= 2);
-}
-
-std::string MixZone::Name() const {
-  return "mixzone[r=" + util::FormatDouble(config_.zone_radius_m, 0) +
-         "m,w=" + std::to_string(config_.time_window_s) + "s]";
-}
-
-model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
-                                        util::Rng& rng,
-                                        MixZoneReport& report) const {
-  return ApplyViewWithReport(model::DatasetView::Of(input), rng, report);
-}
-
-model::Dataset MixZone::ApplyViewWithReport(const model::DatasetView& input,
-                                            util::Rng& rng,
-                                            MixZoneReport& report) const {
-  return ApplyToStoreWithReport(input, rng, report).ToDataset();
-}
-
-model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
-                                        util::Rng& rng) const {
-  MixZoneReport report;
-  return ApplyToStoreWithReport(input, rng, report);
-}
-
-model::EventStore MixZone::ApplyToStoreWithReport(
-    const model::DatasetView& input, util::Rng& rng,
-    MixZoneReport& report) const {
-  const std::vector<StitchedColumns> stitched =
-      MixCore(config_, input, rng, report);
-
+/// Packages stitched traces into EventStore columns.
+model::EventStore AssembleStore(const model::DatasetView& input,
+                                const std::vector<StitchedColumns>& stitched) {
   // Prefix-sum trace sizes into column offsets, then bulk-copy each
   // stitched trace's columns into its pre-sized slot (disjoint slices, so
   // the copies parallelize freely).
@@ -831,13 +960,104 @@ model::EventStore MixZone::ApplyToStoreWithReport(
                                         std::move(time));
 }
 
-std::size_t MixZone::CountEncounters(const model::DatasetView& input) const {
-  const geo::GeoBoundingBox bbox = input.BoundingBox();
-  const geo::LocalProjection projection(
-      bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
-  const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
-  const EventCellGrid grid(config_.zone_radius_m, flat);
-  return DetectEncounters(config_, flat, grid).size();
+}  // namespace
+
+std::string MixZoneReport::ToString() const {
+  std::ostringstream os;
+  os << "zones=" << zones.size() << " occurrences=" << occurrences
+     << " encounters=" << encounters << " swaps=" << swaps_applied
+     << " suppressed=" << suppressed_events << "/" << total_events << " ("
+     << util::FormatDouble(100.0 * SuppressionRatio(), 2) << "%)";
+  return os.str();
 }
 
+std::string ValidateMixZoneConfig(const MixZoneConfig& config) {
+  if (!(config.zone_radius_m > 0.0) || !std::isfinite(config.zone_radius_m)) {
+    return "zone radius r must be a positive finite number of metres, got " +
+           util::FormatDouble(config.zone_radius_m, 3);
+  }
+  if (config.time_window_s <= 0) {
+    return "time window w must be positive, got " +
+           std::to_string(config.time_window_s);
+  }
+  if (config.min_users < 2) {
+    return "min_users must be at least 2, got " +
+           std::to_string(config.min_users);
+  }
+  return {};
+}
+
+MixZone::MixZone(MixZoneConfig config) : config_(config) {
+  if (const std::string error = ValidateMixZoneConfig(config_);
+      !error.empty()) {
+    throw std::invalid_argument("mixzone: " + error);
+  }
+}
+
+std::string MixZone::Name() const {
+  // Non-default min_users/suppress are printed like Anonymizer::Name()
+  // does, so the name stays injective on the config (the scenario engine
+  // dedupes grid rows and keys cached outputs by name).
+  const MixZoneConfig defaults;
+  std::string name = "mixzone[r=" +
+                     util::FormatDouble(config_.zone_radius_m, 0) + "m,w=" +
+                     std::to_string(config_.time_window_s) + "s";
+  if (config_.min_users != defaults.min_users) {
+    name += ",min_users=" + std::to_string(config_.min_users);
+  }
+  if (config_.suppress_zone_points != defaults.suppress_zone_points) {
+    name += ",suppress=0";
+  }
+  return name + "]";
+}
+
+model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
+                                        util::Rng& rng,
+                                        MixZoneReport& report) const {
+  return ApplyViewWithReport(model::DatasetView::Of(input), rng, report);
+}
+
+model::Dataset MixZone::ApplyViewWithReport(const model::DatasetView& input,
+                                            util::Rng& rng,
+                                            MixZoneReport& report) const {
+  return ApplyToStoreWithReport(input, rng, report).ToDataset();
+}
+
+model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
+                                        util::Rng& rng) const {
+  MixZoneReport report;
+  return ApplyToStoreWithReport(input, rng, report);
+}
+
+model::EventStore MixZone::ApplyToStoreWithReport(
+    const model::DatasetView& input, util::Rng& rng,
+    MixZoneReport& report) const {
+  const ProjectedEvents events(config_, input);
+  return AssembleStore(input, MixCore(config_, input, events,
+                                      ClusterZones(config_, events), rng,
+                                      report));
+}
+
+std::size_t MixZone::CountEncounters(const model::DatasetView& input) const {
+  const ProjectedEvents events(config_, input);
+  return ScanEncounters(config_, events.flat, events.grid).encounters;
+}
+
+namespace detail {
+
+ZoneDetection DetectZones(const MixZoneConfig& config,
+                          const model::DatasetView& input) {
+  return ClusterZones(config, ProjectedEvents(config, input));
+}
+
+model::EventStore MixAroundZones(const MixZoneConfig& config,
+                                 const model::DatasetView& input,
+                                 const ZoneDetection& detection,
+                                 util::Rng& rng, MixZoneReport& report) {
+  const ProjectedEvents events(config, input);
+  return AssembleStore(
+      input, MixCore(config, input, events, detection, rng, report));
+}
+
+}  // namespace detail
 }  // namespace mobipriv::mech

@@ -42,6 +42,11 @@ struct MixZoneConfig {
   bool suppress_zone_points = true;
 };
 
+/// Empty when `config` is usable, else what is wrong with it: the zone
+/// radius must be positive and finite, the time window positive, and
+/// min_users at least 2.
+[[nodiscard]] std::string ValidateMixZoneConfig(const MixZoneConfig& config);
+
 /// One detected zone with its occurrences (for reports and tests).
 struct MixZoneInfo {
   geo::Point2 center;  ///< planar, in the dataset projection frame
@@ -79,6 +84,8 @@ struct MixZoneReport {
 
 class MixZone final : public Mechanism {
  public:
+  /// Throws std::invalid_argument when ValidateMixZoneConfig rejects
+  /// `config`.
   explicit MixZone(MixZoneConfig config = {});
 
   [[nodiscard]] std::string Name() const override;
@@ -109,15 +116,37 @@ class MixZone final : public Mechanism {
                                                util::Rng& rng,
                                                MixZoneReport& report) const;
 
-  /// Runs detection only (projection + cell-grid encounter scan, steps the
-  /// full mechanism shares) and returns the raw encounter count. Cheap
-  /// instrumentation surface for benchmarks and tuning — no rng, no
-  /// clustering, no output assembly.
+  /// Runs detection only and returns the raw encounter count: projection,
+  /// the time-ordered cell grid and the parallel counting pass the full
+  /// mechanism runs before clustering. No rng, no clustering, no output
+  /// assembly, and no pair is stored.
   [[nodiscard]] std::size_t CountEncounters(
       const model::DatasetView& input) const;
 
  private:
   MixZoneConfig config_;
 };
+
+/// The mechanism's two halves, exposed so tests can check detection
+/// against an independent oracle. ApplyToStoreWithReport(input) is exactly
+/// MixAroundZones(config, input, DetectZones(config, input), ...).
+namespace detail {
+
+/// Steps 1-2: the encounter count and every first-fit zone centre in
+/// creation order, whether or not the zone later mixes anyone.
+struct ZoneDetection {
+  std::size_t encounters = 0;
+  std::vector<geo::Point2> centers;
+};
+
+[[nodiscard]] ZoneDetection DetectZones(const MixZoneConfig& config,
+                                        const model::DatasetView& input);
+
+/// Steps 3-6 (occurrences, permutation, reassembly) around given zones.
+[[nodiscard]] model::EventStore MixAroundZones(
+    const MixZoneConfig& config, const model::DatasetView& input,
+    const ZoneDetection& detection, util::Rng& rng, MixZoneReport& report);
+
+}  // namespace detail
 
 }  // namespace mobipriv::mech

@@ -37,10 +37,16 @@ void FillMixZoneConfig(const util::Spec& spec, MixZoneConfig& config) {
   config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
   config.time_window_s = static_cast<util::Timestamp>(
       spec.IntOf("w", config.time_window_s));
-  config.min_users = static_cast<std::size_t>(
-      spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users)));
+  const std::int64_t min_users =
+      spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users));
+  config.min_users =
+      static_cast<std::size_t>(std::max<std::int64_t>(min_users, 0));
   config.suppress_zone_points =
       spec.IntOf("suppress", config.suppress_zone_points ? 1 : 0) != 0;
+  if (const std::string error = ValidateMixZoneConfig(config);
+      !error.empty()) {
+    throw util::SpecError("spec " + spec.ToString() + ": " + error);
+  }
 }
 
 /// "ours[...]": the bracket body is stage flags joined by '+'

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/anonymizer.h"
 #include "core/experiment.h"
 #include "mechanisms/geo_indistinguishability.h"
@@ -114,6 +118,67 @@ TEST(MechanismRegistry, TunedOursNameIsInjectiveAndRoundTrips) {
   }
   EXPECT_NE(mech::CreateMechanism("ours[speed,eps=50m]")->Name(),
             mech::CreateMechanism("ours[speed,eps=25m]")->Name());
+}
+
+TEST(MechanismRegistry, RejectsInvalidMixZoneConfigs) {
+  // r = 0 would make the detector's cell grid divide by zero; the others
+  // make no sense as a zone. Both spec families share the mix-zone knobs.
+  for (const char* spec :
+       {"mixzone[r=0]", "mixzone[r=-5]", "mixzone[w=0]", "mixzone[w=-10]",
+        "mixzone[min_users=0]", "mixzone[min_users=1]",
+        "mixzone[min_users=-3]", "ours[r=0]", "ours[speed+mix,r=-5]",
+        "ours[mix,w=0]", "ours[w=-10]", "ours[min_users=0]",
+        "ours[speed+mix,min_users=1]"}) {
+    EXPECT_THROW((void)mech::CreateMechanism(spec), util::SpecError) << spec;
+  }
+  // The smallest valid values still build.
+  EXPECT_NO_THROW((void)mech::CreateMechanism("mixzone[r=1m,w=1s,min_users=2]"));
+  EXPECT_NO_THROW((void)mech::CreateMechanism("ours[mix,r=1m,w=1s]"));
+}
+
+TEST(MechanismRegistry, MixZoneConstructorRejectsInvalidConfigs) {
+  const auto config_with = [](auto&& change) {
+    mech::MixZoneConfig config;
+    change(config);
+    return config;
+  };
+  const mech::MixZoneConfig invalid[] = {
+      config_with([](auto& c) { c.zone_radius_m = 0.0; }),
+      config_with([](auto& c) { c.zone_radius_m = -5.0; }),
+      config_with([](auto& c) {
+        c.zone_radius_m = std::numeric_limits<double>::quiet_NaN();
+      }),
+      config_with([](auto& c) {
+        c.zone_radius_m = std::numeric_limits<double>::infinity();
+      }),
+      config_with([](auto& c) { c.time_window_s = 0; }),
+      config_with([](auto& c) { c.time_window_s = -10; }),
+      config_with([](auto& c) { c.min_users = 0; }),
+      config_with([](auto& c) { c.min_users = 1; }),
+  };
+  for (const mech::MixZoneConfig& config : invalid) {
+    EXPECT_FALSE(mech::ValidateMixZoneConfig(config).empty());
+    EXPECT_THROW(mech::MixZone{config}, std::invalid_argument);
+  }
+  EXPECT_TRUE(mech::ValidateMixZoneConfig(mech::MixZoneConfig{}).empty());
+}
+
+TEST(MechanismRegistry, MixZoneNameIsInjectiveAndRoundTrips) {
+  // The engine dedupes grid rows and keys cached outputs by Name(), so a
+  // non-default min_users or suppress must show in it.
+  const std::string defaults = mech::CreateMechanism("mixzone")->Name();
+  const std::string min_users =
+      mech::CreateMechanism("mixzone[min_users=3]")->Name();
+  const std::string keep = mech::CreateMechanism("mixzone[suppress=0]")->Name();
+  EXPECT_EQ(defaults, "mixzone[r=150m,w=600s]");
+  EXPECT_EQ(min_users, "mixzone[r=150m,w=600s,min_users=3]");
+  EXPECT_EQ(keep, "mixzone[r=150m,w=600s,suppress=0]");
+  EXPECT_NE(min_users, keep);
+  for (const std::string& name :
+       {defaults, min_users, keep,
+        std::string("mixzone[r=80m,w=120s,min_users=4,suppress=0]")}) {
+    EXPECT_EQ(mech::CreateMechanism(name)->Name(), name);
+  }
 }
 
 TEST(MechanismRegistry, RejectsUnknownBaseAndParams) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "geo/projection.h"
+#include "model/columnar_file.h"
+#include "synth/population.h"
+#include "util/thread_pool.h"
 
 namespace mobipriv::mech {
 namespace {
@@ -226,6 +235,123 @@ TEST(MixZone, NameEncodesConfig) {
   config.zone_radius_m = 99.0;
   config.time_window_s = 42;
   EXPECT_EQ(MixZone(config).Name(), "mixzone[r=99m,w=42s]");
+  config.min_users = 3;
+  EXPECT_EQ(MixZone(config).Name(), "mixzone[r=99m,w=42s,min_users=3]");
+  config.suppress_zone_points = false;
+  EXPECT_EQ(MixZone(config).Name(),
+            "mixzone[r=99m,w=42s,min_users=3,suppress=0]");
+}
+
+// ---- Golden pins -----------------------------------------------------------
+// Fixed reference values for two worlds, recorded before the detection scan
+// was rewritten around time-ordered cell slices and streamed clustering.
+// Everything observable is pinned: the published bytes, the report, the
+// zone centres and the RNG position afterwards (a changed number of
+// shuffles shows up in the next draw even when the bytes happen to agree).
+
+/// ~200 agents over one synthetic day: thousands of encounters, hundreds
+/// of zones, many occurrences.
+model::Dataset GoldenSynthWorld() {
+  synth::PopulationConfig config;
+  config.agents = 200;
+  config.days = 1;
+  config.seed = 1306;
+  return synth::SyntheticWorld(config).dataset();
+}
+
+/// Two users at exactly the same places and times: every fix pairs with
+/// its twin, and the whole walk is one continuous encounter.
+model::Dataset PerfectTwins() {
+  model::Dataset dataset;
+  std::vector<model::Event> events;
+  for (int i = 0; i < 30; ++i) {
+    events.push_back({{45.764 + 0.0002 * i, 4.8357},
+                      static_cast<util::Timestamp>(i * 30)});
+  }
+  dataset.AddTraceForUser("a", events);
+  dataset.AddTraceForUser("b", std::move(events));
+  return dataset;
+}
+
+/// FNV-1a digest of the `.mpc` image of a store.
+std::uint64_t ColumnarDigest(const model::EventStore& store) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mobipriv_mixzone_golden.mpc";
+  model::WriteColumnar(store, path.string());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return model::Fnv1a64(bytes.data(), bytes.size());
+}
+
+/// FNV-1a digest of the report's zone centres, coordinates bitwise.
+std::uint64_t CentersDigest(const MixZoneReport& report) {
+  std::vector<double> coords;
+  for (const MixZoneInfo& zone : report.zones) {
+    coords.push_back(zone.center.x);
+    coords.push_back(zone.center.y);
+  }
+  return model::Fnv1a64(coords.data(), coords.size() * sizeof(double));
+}
+
+struct Golden {
+  std::uint64_t output_digest;
+  std::string report;
+  std::size_t encounters;
+  std::uint64_t centers_digest;
+  std::uint64_t next_draw;
+};
+
+void ExpectGolden(const model::Dataset& world, const MixZoneConfig& config,
+                  const Golden& golden) {
+  const model::DatasetView view = model::DatasetView::Of(world);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const util::ScopedParallelism parallelism(threads);
+    const MixZone mechanism(config);
+    util::Rng rng(20150629);
+    MixZoneReport report;
+    const model::EventStore out =
+        mechanism.ApplyToStoreWithReport(view, rng, report);
+    EXPECT_EQ(ColumnarDigest(out), golden.output_digest);
+    EXPECT_EQ(report.ToString(), golden.report);
+    EXPECT_EQ(report.encounters, golden.encounters);
+    EXPECT_EQ(CentersDigest(report), golden.centers_digest);
+    EXPECT_EQ(rng.NextU64(), golden.next_draw);
+    EXPECT_EQ(mechanism.CountEncounters(view), golden.encounters);
+  }
+}
+
+TEST(MixZoneGolden, SynthWorld) {
+  ExpectGolden(GoldenSynthWorld(), MixZoneConfig{},
+               Golden{14107537261168625936ULL,
+                      "zones=740 occurrences=2622 encounters=622384 "
+                      "swaps=1791 suppressed=48921/67189 (72.81%)",
+                      622384, 12428258393102063126ULL,
+                      2702140740029849059ULL});
+}
+
+TEST(MixZoneGolden, SynthWorldTightConfig) {
+  MixZoneConfig config;
+  config.zone_radius_m = 60.0;
+  config.time_window_s = 90;
+  config.min_users = 3;
+  ExpectGolden(GoldenSynthWorld(), config,
+               Golden{14266511514431070002ULL,
+                      "zones=126 occurrences=219 encounters=87449 "
+                      "swaps=201 suppressed=24155/67189 (35.95%)",
+                      87449, 4728373736751933470ULL,
+                      3500217744971267175ULL});
+}
+
+TEST(MixZoneGolden, PerfectTwins) {
+  ExpectGolden(PerfectTwins(), MixZoneConfig{},
+               Golden{3145821910295850537ULL,
+                      "zones=5 occurrences=5 encounters=348 swaps=1 "
+                      "suppressed=60/60 (100.00%)",
+                      348, 8464289930534613045ULL,
+                      17672425031783704571ULL});
 }
 
 }  // namespace

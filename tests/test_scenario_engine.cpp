@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "core/evaluator.h"
 #include "core/scenario.h"
@@ -180,6 +182,24 @@ TEST(ScenarioEngine, PivotTableShapesRows) {
   EXPECT_NE(csv.find("identity,11,1.000000"), std::string::npos);
 }
 
+TEST(ScenarioEngine, MixZoneRowsDifferingInMinUsersOrSuppressStayApart) {
+  // Both specs used to print "mixzone[r=150m,w=600s]" and were deduped
+  // into one row.
+  core::ScenarioSpec spec = BaseSpec();
+  spec.mechanisms = {"mixzone[min_users=3]", "mixzone[suppress=0]"};
+  spec.evaluators = {"coverage"};
+  core::ScenarioEngine engine(spec);
+  const core::Report report = engine.Run();
+  EXPECT_EQ(engine.stats().mechanism_nodes, 2u);
+  std::set<std::string> mechanisms;
+  for (const core::ReportRow& row : report.rows()) {
+    mechanisms.insert(row.mechanism);
+  }
+  EXPECT_EQ(mechanisms,
+            (std::set<std::string>{"mixzone[r=150m,w=600s,min_users=3]",
+                                   "mixzone[r=150m,w=600s,suppress=0]"}));
+}
+
 TEST(ScenarioEngine, InvalidSpecsFailAtCompileTime) {
   core::ScenarioSpec spec = BaseSpec();
   spec.mechanisms = {"warp_drive"};
@@ -192,6 +212,15 @@ TEST(ScenarioEngine, InvalidSpecsFailAtCompileTime) {
   spec = BaseSpec();
   spec.mechanisms.clear();
   EXPECT_THROW(core::ScenarioEngine{spec}, util::SpecError);
+
+  // The uncertainty evaluator re-runs mix zones: invalid zone knobs fail
+  // here too, not when the evaluator first runs.
+  for (const char* evaluator :
+       {"uncertainty[r=0]", "uncertainty[w=-1]", "uncertainty[min_users=1]"}) {
+    spec = BaseSpec();
+    spec.evaluators = {evaluator};
+    EXPECT_THROW(core::ScenarioEngine{spec}, util::SpecError) << evaluator;
+  }
 }
 
 TEST(ScenarioEngine, EvaluatorNamesRoundTrip) {
