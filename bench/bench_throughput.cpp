@@ -407,7 +407,13 @@ void BM_EngineGrid(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   RecordPeakRss(state);
 }
-BENCHMARK(BM_EngineGrid)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+// The engine grids fan out on the pool: wall clock, like the threaded
+// mechanism rows.
+BENCHMARK(BM_EngineGrid)
+    ->Arg(100)
+    ->Arg(1000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridCached(benchmark::State& state) {
   util::ResetPeakRss();
@@ -448,6 +454,7 @@ void BM_EngineGridCached(benchmark::State& state) {
 BENCHMARK(BM_EngineGridCached)
     ->Arg(100)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridIndependent(benchmark::State& state) {
@@ -484,6 +491,7 @@ void BM_EngineGridIndependent(benchmark::State& state) {
 BENCHMARK(BM_EngineGridIndependent)
     ->Arg(100)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridChainShared(benchmark::State& state) {
@@ -521,6 +529,7 @@ void BM_EngineGridChainShared(benchmark::State& state) {
 BENCHMARK(BM_EngineGridChainShared)
     ->Arg(100)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- SIMD batch kernels (roofline-annotated) --------------------------------
@@ -850,6 +859,7 @@ void BM_EngineGridShardStream(benchmark::State& state) {
 BENCHMARK(BM_EngineGridShardStream)
     ->Arg(100)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridShardWhole(benchmark::State& state) {
@@ -875,6 +885,7 @@ void BM_EngineGridShardWhole(benchmark::State& state) {
 BENCHMARK(BM_EngineGridShardWhole)
     ->Arg(100)
     ->Arg(1000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -58,6 +58,29 @@ std::string WatchdogError(double timeout_ms) {
          util::FormatDouble(timeout_ms, 0) + " ms watchdog)";
 }
 
+/// Runs `work`; an exception becomes a kFailed verdict on `result`.
+template <typename Work>
+void RunContained(NodeResult& result, Work&& work) {
+  try {
+    work();
+  } catch (const std::exception& e) {
+    result = {NodeStatus::kFailed, e.what()};
+  } catch (...) {
+    result = {NodeStatus::kFailed, "unknown exception"};
+  }
+}
+
+double ElapsedMs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Error text of an engine-side injected fault at `point` for `key`.
+std::string InjectedFault(std::string_view point, const std::string& key) {
+  return "injected fault (" + std::string(point) + "): " + key;
+}
+
 /// Executes the DAG with per-node error containment. A node that throws
 /// is recorded kFailed (exception text captured); every transitive
 /// dependent is recorded kSkipped with the root cause, WITHOUT running;
@@ -77,26 +100,10 @@ std::vector<NodeResult> ExecuteDag(std::vector<DagNode>& nodes,
   const auto run_contained = [&](std::size_t index) {
     NodeResult& result = results[index];
     const auto start = std::chrono::steady_clock::now();
-    try {
-      nodes[index].work();
-    } catch (const std::exception& e) {
-      result.status = NodeStatus::kFailed;
-      result.error = e.what();
-      return;
-    } catch (...) {
-      result.status = NodeStatus::kFailed;
-      result.error = "unknown exception";
-      return;
-    }
-    if (node_timeout_ms > 0.0) {
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (elapsed_ms > node_timeout_ms) {
-        result.status = NodeStatus::kFailed;
-        result.error = WatchdogError(node_timeout_ms);
-      }
+    RunContained(result, nodes[index].work);
+    if (result.status == NodeStatus::kOk && node_timeout_ms > 0.0 &&
+        ElapsedMs(start) > node_timeout_ms) {
+      result = {NodeStatus::kFailed, WatchdogError(node_timeout_ms)};
     }
   };
   // Marks `dependent` skipped because `index` did not finish ok. First
@@ -181,6 +188,183 @@ std::vector<NodeResult> ExecuteDag(std::vector<DagNode>& nodes,
   done_cv.wait(lock, [&] { return completed == nodes.size(); });
   return results;
 }
+
+/// Shard `s`'s original traces, user ids re-labelled into the global
+/// dense id space the folds and the whole view use.
+std::vector<model::TraceView> GlobalViews(const ShardStreamPlan& plan,
+                                          std::size_t s,
+                                          const model::MappedColumnar& mapped) {
+  const std::vector<model::UserId>& l2g = plan.local_to_global[s];
+  std::vector<model::TraceView> views(mapped.TraceCount());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
+  }
+  return views;
+}
+
+/// Full-dataset extents every ShardSlice carries, folded by a streamed
+/// executor's pass 0: the original box and time span, and one published
+/// box per stage node.
+struct StreamExtents {
+  explicit StreamExtents(std::size_t stage_count)
+      : published_bbox(stage_count) {}
+
+  void AddOriginal(const model::TraceView& trace) {
+    original_bbox.Extend(trace.BoundingBox());
+    if (!trace.empty()) {
+      t_min = std::min(t_min, trace.time(0));
+      t_max = std::max(t_max, trace.time(trace.size() - 1));
+    }
+  }
+
+  geo::GeoBoundingBox original_bbox;
+  std::vector<geo::GeoBoundingBox> published_bbox;
+  util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
+  util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
+};
+
+/// The fold merge both streamed executors end with. Grid cells are the
+/// DAG's evaluator nodes: slot = group * evaluators + e, where group =
+/// row * seeds + seed index and `group_terminal[group]` is that row's
+/// stage node for that seed; their verdicts live in `node_results` after
+/// the stage nodes. Each live cell's fold takes the published half of
+/// every shard. The original half depends on (evaluator, seed) only, so
+/// it is folded once per live (evaluator, seed) and every row's fold
+/// adopts it before Finalize. Skip, fault and failure verdicts land
+/// exactly where the DAG puts them, and a row whose stage fails
+/// mid-merge strands only its own cells.
+class FoldMerge {
+ public:
+  /// One fold per cell whose terminal survived so far, built in slot
+  /// order (the DAG's evaluator-node order, so keyed fault points trip
+  /// for the same cells).
+  FoldMerge(const std::vector<std::unique_ptr<Evaluator>>& evaluators,
+            const std::vector<std::string>& eval_names,
+            const std::vector<std::uint64_t>& seeds,
+            std::vector<std::size_t> group_terminal,
+            std::vector<NodeResult>& node_results, StreamExtents extents)
+      : eval_count_(evaluators.size()),
+        seed_count_(seeds.size()),
+        group_terminal_(std::move(group_terminal)),
+        node_results_(node_results),
+        stage_count_(node_results.size() -
+                     group_terminal_.size() * eval_count_),
+        extents_(std::move(extents)),
+        folds_(group_terminal_.size() * eval_count_),
+        originals_(seed_count_ * eval_count_) {
+    for (std::size_t slot = 0; slot < folds_.size(); ++slot) {
+      const std::size_t e = slot % eval_count_;
+      NodeResult& cell = Cell(slot);
+      const NodeResult& terminal = Terminal(slot);
+      if (terminal.status != NodeStatus::kOk) {
+        cell = {NodeStatus::kSkipped, "dependency failed: " + terminal.error};
+        continue;
+      }
+      if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineEvaluatorRun,
+                                     eval_names[e])) {
+        cell = {NodeStatus::kFailed,
+                InjectedFault(fault::points::kEngineEvaluatorRun,
+                              eval_names[e])};
+        continue;
+      }
+      const std::uint64_t seed = seeds[slot / eval_count_ % seed_count_];
+      folds_[slot] = evaluators[e]->MakeTraceFold(seed);
+      std::unique_ptr<TraceFold>& original = originals_[OriginalOf(slot)];
+      if (!original) original = evaluators[e]->MakeTraceFold(seed);
+    }
+  }
+
+  /// Folds shard `s`: `original` is its global-id original views,
+  /// `published[n]` stage n's views of it (empty for a failed stage).
+  void Feed(const ShardStreamPlan& plan, std::size_t s,
+            std::span<const model::TraceView> original,
+            const std::vector<std::vector<model::TraceView>>& published) {
+    const auto start = std::chrono::steady_clock::now();
+    ShardSlice slice;
+    slice.original = original;
+    slice.canonical_index = plan.origin[s];
+    slice.user_count = plan.global_names.size();
+    slice.original_bbox = extents_.original_bbox;
+    slice.original_t_min = extents_.t_min;
+    slice.original_t_max = extents_.t_max;
+    std::vector<unsigned char> wanted(originals_.size(), 0);
+    for (std::size_t slot = 0; slot < folds_.size(); ++slot) {
+      if (Live(slot)) wanted[OriginalOf(slot)] = 1;
+    }
+    for (std::size_t k = 0; k < originals_.size(); ++k) {
+      if (!wanted[k]) continue;
+      NodeResult verdict;
+      RunContained(verdict, [&] { originals_[k]->AccumulateOriginal(slice); });
+      if (verdict.status == NodeStatus::kOk) continue;
+      // Each sharing row would have thrown this from its own fold.
+      for (std::size_t slot = 0; slot < folds_.size(); ++slot) {
+        if (Live(slot) && OriginalOf(slot) == k) Cell(slot) = verdict;
+      }
+    }
+    for (std::size_t slot = 0; slot < folds_.size(); ++slot) {
+      if (!Live(slot)) continue;
+      const std::size_t terminal = group_terminal_[slot / eval_count_];
+      slice.published = published[terminal];
+      slice.published_bbox = extents_.published_bbox[terminal];
+      RunContained(Cell(slot),
+                   [&] { folds_[slot]->AccumulatePublished(slice); });
+    }
+    ms_ += ElapsedMs(start);
+  }
+
+  /// Marks cells stranded by a stage that failed mid-merge skipped, like
+  /// the DAG would, and finalizes the survivors into per-slot results.
+  std::vector<std::vector<MetricValue>> Finalize() {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::vector<MetricValue>> results(folds_.size());
+    for (std::size_t slot = 0; slot < folds_.size(); ++slot) {
+      NodeResult& cell = Cell(slot);
+      const NodeResult& terminal = Terminal(slot);
+      if (terminal.status != NodeStatus::kOk &&
+          cell.status == NodeStatus::kOk) {
+        cell = {NodeStatus::kSkipped, "dependency failed: " + terminal.error};
+      }
+      if (!Live(slot)) continue;
+      RunContained(cell, [&] {
+        folds_[slot]->AdoptOriginal(*originals_[OriginalOf(slot)]);
+        results[slot] = folds_[slot]->Finalize();
+      });
+      folds_[slot].reset();
+    }
+    ms_ += ElapsedMs(start);
+    return results;
+  }
+
+  /// Wall time spent in fold accumulate and finalize calls.
+  [[nodiscard]] double ms() const noexcept { return ms_; }
+
+ private:
+  NodeResult& Cell(std::size_t slot) {
+    return node_results_[stage_count_ + slot];
+  }
+  const NodeResult& Terminal(std::size_t slot) const {
+    return node_results_[group_terminal_[slot / eval_count_]];
+  }
+  bool Live(std::size_t slot) {
+    return folds_[slot] && Cell(slot).status == NodeStatus::kOk &&
+           Terminal(slot).status == NodeStatus::kOk;
+  }
+  /// Index of the (seed index, evaluator) original-side fold of `slot`.
+  std::size_t OriginalOf(std::size_t slot) const {
+    return (slot / eval_count_ % seed_count_) * eval_count_ +
+           slot % eval_count_;
+  }
+
+  std::size_t eval_count_;
+  std::size_t seed_count_;
+  std::vector<std::size_t> group_terminal_;
+  std::vector<NodeResult>& node_results_;
+  std::size_t stage_count_;
+  StreamExtents extents_;
+  std::vector<std::unique_ptr<TraceFold>> folds_;
+  std::vector<std::unique_ptr<TraceFold>> originals_;
+  double ms_ = 0.0;
+};
 
 }  // namespace
 
@@ -286,6 +470,7 @@ std::string EngineStats::ToString() const {
   }
   os << " bind_ms=" << util::FormatDouble(bind_ms, 2)
      << " run_ms=" << util::FormatDouble(run_ms, 2);
+  if (streamed_shards > 0) os << " fold_ms=" << util::FormatDouble(fold_ms, 2);
   return os.str();
 }
 
@@ -510,9 +695,7 @@ Report ScenarioEngine::Run() {
     // event column ever resident.
     const auto probe_start = std::chrono::steady_clock::now();
     stream = ProbeShardStream(c.spec.source.path);
-    stats_.bind_ms += std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - probe_start)
-                          .count();
+    stats_.bind_ms += ElapsedMs(probe_start);
   }
 
   // ---- Supervised multi-process path (core/shard_exec.h). -------------
@@ -526,25 +709,38 @@ Report ScenarioEngine::Run() {
   // in-process run at any worker count. A stage whose retries exhaust
   // (or whose worker reports a permanent error) degrades to the same
   // failed/skipped rows the DAG would produce.
+  // Both streamed executors: engine-side injected stage faults fire
+  // before any stage work, with the DAG's error text; the fold merge
+  // covers the grid's cells in row-major (row, seed) groups.
+  const auto inject_stage_faults = [&](std::vector<NodeResult>& verdicts) {
+    for (std::size_t i = 0; i < stage_count; ++i) {
+      const std::string& prefix = c.stage_nodes[i].prefix_name;
+      if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
+                                     prefix)) {
+        verdicts[i] = {NodeStatus::kFailed,
+                       InjectedFault(fault::points::kEngineMechanismRun,
+                                     prefix)};
+      }
+    }
+  };
+  const auto make_merge = [&](std::vector<NodeResult>& verdicts,
+                              StreamExtents extents) {
+    std::vector<std::size_t> group_terminal;
+    for (const Compiled::RowPlan& row : c.rows) {
+      group_terminal.insert(group_terminal.end(), row.terminal.begin(),
+                            row.terminal.end());
+    }
+    return FoldMerge(c.evaluators, c.eval_names, seeds,
+                     std::move(group_terminal), verdicts, std::move(extents));
+  };
+
   if (stream && want_workers) {
     const ShardStreamPlan& plan = *stream;
     stats_.streamed_shards = plan.shard_count;
     std::vector<NodeResult> node_results(stage_count + eval_nodes);
     std::vector<std::vector<MetricValue>> results(eval_nodes);
     stats_.run_ms = TimeMs([&] {
-      // Engine-side injected stage faults fire before any dispatch, with
-      // the same error text as the other executors.
-      for (std::size_t i = 0; i < stage_count; ++i) {
-        const Compiled::StagePlan& stage = c.stage_nodes[i];
-        if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
-                                       stage.prefix_name)) {
-          node_results[i] = {
-              NodeStatus::kFailed,
-              "injected fault (" +
-                  std::string(fault::points::kEngineMechanismRun) +
-                  "): " + stage.prefix_name};
-        }
-      }
+      inject_stage_faults(node_results);
 
       // Result handoff directory, removed wholesale on exit (including
       // any torn temp a killed worker left behind).
@@ -604,20 +800,12 @@ Report ScenarioEngine::Run() {
 
       // Merge pass 0 (extents): original bbox/time span from the source
       // shards, published bbox from each surviving stage's result files.
-      geo::GeoBoundingBox original_bbox;
-      std::vector<geo::GeoBoundingBox> published_bbox(stage_count);
-      util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
-      util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
+      StreamExtents extents(stage_count);
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
         for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          const model::TraceView trace = mapped.View(i);
-          original_bbox.Extend(trace.BoundingBox());
-          if (!trace.empty()) {
-            t_min = std::min(t_min, trace.time(0));
-            t_max = std::max(t_max, trace.time(trace.size() - 1));
-          }
+          extents.AddOriginal(mapped.View(i));
         }
         for (std::size_t n = 0; n < stage_count; ++n) {
           if (node_results[n].status != NodeStatus::kOk) continue;
@@ -625,10 +813,7 @@ Report ScenarioEngine::Run() {
             const model::MappedColumnar result = model::MapColumnar(
                 wp::StageShardPath(scratch.path, stage_stem(n), s));
             for (std::size_t i = 0; i < result.TraceCount(); ++i) {
-              const model::TraceView trace = result.View(i);
-              for (std::size_t f = 0; f < trace.size(); ++f) {
-                published_bbox[n].Extend(trace.position(f));
-              }
+              extents.published_bbox[n].Extend(result.View(i).BoundingBox());
             }
           } catch (const std::exception&) {
             node_results[n] = {NodeStatus::kFailed, torn_error(n, s)};
@@ -636,47 +821,17 @@ Report ScenarioEngine::Run() {
         }
       }
 
-      // One fold per grid cell whose terminal survived (skip and fault
-      // verdicts mirror the DAG's evaluator nodes exactly).
-      std::vector<std::unique_ptr<TraceFold>> folds(eval_nodes);
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              continue;
-            }
-            if (MOBIPRIV_FAULT_POINT_KEYED(
-                    fault::points::kEngineEvaluatorRun, c.eval_names[e])) {
-              cell = {NodeStatus::kFailed,
-                      "injected fault (" +
-                          std::string(fault::points::kEngineEvaluatorRun) +
-                          "): " + c.eval_names[e]};
-              continue;
-            }
-            folds[slot] = c.evaluators[e]->MakeTraceFold(seeds[s]);
-          }
-        }
-      }
-
       // Merge pass 1 (folds): per shard, the original views come from
       // the source shard and each stage's published views from its
       // result file (same trace order, re-labelled into the global user
-      // id space); every live fold gets its slice in ascending shard
-      // order, exactly like the in-process streamed executor.
+      // id space), in ascending shard order like the in-process executor.
+      FoldMerge merge = make_merge(node_results, std::move(extents));
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        const std::size_t trace_count = mapped.TraceCount();
-        std::vector<model::TraceView> original(trace_count);
-        for (std::size_t i = 0; i < trace_count; ++i) {
-          original[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-        }
+        const std::vector<model::TraceView> original =
+            GlobalViews(plan, s, mapped);
+        const std::size_t trace_count = original.size();
         std::vector<model::MappedColumnar> stage_results(stage_count);
         std::vector<std::vector<model::TraceView>> published(stage_count);
         for (std::size_t n = 0; n < stage_count; ++n) {
@@ -697,61 +852,10 @@ Report ScenarioEngine::Run() {
                 stage_results[n].View(i).WithUser(original[i].user());
           }
         }
-        for (std::size_t r = 0; r < row_count; ++r) {
-          for (std::size_t ss = 0; ss < seed_count; ++ss) {
-            const std::size_t terminal = c.rows[r].terminal[ss];
-            if (node_results[terminal].status != NodeStatus::kOk) continue;
-            for (std::size_t e = 0; e < eval_count; ++e) {
-              const std::size_t slot =
-                  (r * seed_count + ss) * eval_count + e;
-              NodeResult& cell = node_results[stage_count + slot];
-              if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-              ShardSlice slice;
-              slice.original = original;
-              slice.canonical_index = plan.origin[s];
-              slice.published = published[terminal];
-              slice.user_count = plan.global_names.size();
-              slice.original_bbox = original_bbox;
-              slice.published_bbox = published_bbox[terminal];
-              slice.original_t_min = t_min;
-              slice.original_t_max = t_max;
-              try {
-                folds[slot]->AccumulateShard(slice);
-              } catch (const std::exception& ex) {
-                cell = {NodeStatus::kFailed, ex.what()};
-              } catch (...) {
-                cell = {NodeStatus::kFailed, "unknown exception"};
-              }
-            }
-          }
-        }
+        merge.Feed(plan, s, original, published);
       }
-
-      // A stage failing mid-merge strands its cells' partial folds: mark
-      // them skipped exactly like the DAG would, then finalize survivors.
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk &&
-                cell.status == NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              folds[slot].reset();
-            }
-            if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-            try {
-              results[slot] = folds[slot]->Finalize();
-            } catch (const std::exception& ex) {
-              cell = {NodeStatus::kFailed, ex.what()};
-            } catch (...) {
-              cell = {NodeStatus::kFailed, "unknown exception"};
-            }
-          }
-        }
-      }
+      results = merge.Finalize();
+      stats_.fold_ms = merge.ms();
     });
     return assemble(node_results, results);
   }
@@ -762,6 +866,7 @@ Report ScenarioEngine::Run() {
     std::vector<NodeResult> node_results(stage_count + eval_nodes);
     std::vector<std::vector<MetricValue>> results(eval_nodes);
     stats_.run_ms = TimeMs([&] {
+      inject_stage_faults(node_results);
       // Per-stage master draws: the one NextU64 ApplyToStore makes, from
       // the same per-prefix stream — so every per-trace rng
       // (master, user, original index) matches the DAG path bit for bit.
@@ -769,16 +874,8 @@ Report ScenarioEngine::Run() {
       std::vector<const mech::PerTraceMechanism*> kernels(stage_count,
                                                           nullptr);
       for (std::size_t i = 0; i < stage_count; ++i) {
+        if (node_results[i].status != NodeStatus::kOk) continue;
         const Compiled::StagePlan& stage = c.stage_nodes[i];
-        if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
-                                       stage.prefix_name)) {
-          node_results[i] = {
-              NodeStatus::kFailed,
-              "injected fault (" +
-                  std::string(fault::points::kEngineMechanismRun) +
-                  "): " + stage.prefix_name};
-          continue;
-        }
         util::Rng rng(util::DeriveStreamSeed(
             seeds[stage.seed_index],
             model::Fnv1a64(stage.prefix_name.data(),
@@ -788,113 +885,63 @@ Report ScenarioEngine::Run() {
         kernels[i] = static_cast<const mech::PerTraceMechanism*>(
             stage.instance.get());
       }
-      const auto fail_stage = [&](std::size_t n) {
-        try {
-          throw;
-        } catch (const std::exception& e) {
-          node_results[n] = {NodeStatus::kFailed, e.what()};
-        } catch (...) {
-          node_results[n] = {NodeStatus::kFailed, "unknown exception"};
-        }
-      };
 
       // Pass 0 (extents): fold the full-dataset bounding boxes and time
       // span every fold's slice must carry, running each surviving
       // mechanism trace by trace into a reused scratch buffer. Pass 1
       // re-derives the identical per-trace streams, so recomputing is a
       // determinism no-op — the price of never holding two passes' state.
-      geo::GeoBoundingBox original_bbox;
-      std::vector<geo::GeoBoundingBox> published_bbox(stage_count);
-      util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
-      util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
+      StreamExtents extents(stage_count);
       model::TraceBuffer scratch;
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          const model::TraceView trace =
-              mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-          original_bbox.Extend(trace.BoundingBox());
-          if (!trace.empty()) {
-            t_min = std::min(t_min, trace.time(0));
-            t_max = std::max(t_max, trace.time(trace.size() - 1));
-          }
+        const std::vector<model::TraceView> original =
+            GlobalViews(plan, s, mapped);
+        for (std::size_t i = 0; i < original.size(); ++i) {
+          extents.AddOriginal(original[i]);
           for (std::size_t n = 0; n < stage_count; ++n) {
             if (node_results[n].status != NodeStatus::kOk) continue;
             scratch.Clear();
-            try {
-              kernels[n]->ApplyToIndexedTrace(trace, masters[n],
+            RunContained(node_results[n], [&] {
+              kernels[n]->ApplyToIndexedTrace(original[i], masters[n],
                                               plan.origin[s][i], scratch);
-            } catch (...) {
-              fail_stage(n);
-              continue;
-            }
+            });
+            if (node_results[n].status != NodeStatus::kOk) continue;
             for (std::size_t f = 0; f < scratch.size(); ++f) {
-              published_bbox[n].Extend(
+              extents.published_bbox[n].Extend(
                   geo::LatLng{scratch.lat()[f], scratch.lng()[f]});
             }
           }
         }
       }
 
-      // One fold per grid cell whose terminal survived pass 0 (skip and
-      // fault verdicts mirror the DAG's evaluator nodes exactly).
-      std::vector<std::unique_ptr<TraceFold>> folds(eval_nodes);
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              continue;
-            }
-            if (MOBIPRIV_FAULT_POINT_KEYED(
-                    fault::points::kEngineEvaluatorRun, c.eval_names[e])) {
-              cell = {NodeStatus::kFailed,
-                      "injected fault (" +
-                          std::string(fault::points::kEngineEvaluatorRun) +
-                          "): " + c.eval_names[e]};
-              continue;
-            }
-            folds[slot] = c.evaluators[e]->MakeTraceFold(seeds[s]);
-          }
-        }
-      }
-
       // Pass 1 (folds): map one shard, materialize each surviving stage's
-      // output for THAT shard only, feed every live fold its slice, drop
-      // everything, move on — the resident set the streamed path
-      // promises: one shard's input plus one shard's outputs.
+      // output for THAT shard only, feed the fold merge, drop everything,
+      // move on — the resident set the streamed path promises: one
+      // shard's input plus one shard's outputs.
+      FoldMerge merge = make_merge(node_results, std::move(extents));
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        const std::size_t trace_count = mapped.TraceCount();
-        std::vector<model::TraceView> original(trace_count);
-        for (std::size_t i = 0; i < trace_count; ++i) {
-          original[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-        }
+        const std::vector<model::TraceView> original =
+            GlobalViews(plan, s, mapped);
+        const std::size_t trace_count = original.size();
         std::vector<model::TraceBuffer> buffers(stage_count);
         std::vector<std::vector<std::size_t>> ends(stage_count);
         std::vector<std::vector<model::TraceView>> published(stage_count);
         for (std::size_t n = 0; n < stage_count; ++n) {
           if (node_results[n].status != NodeStatus::kOk) continue;
           ends[n].resize(trace_count);
-          try {
+          RunContained(node_results[n], [&] {
             for (std::size_t i = 0; i < trace_count; ++i) {
               kernels[n]->ApplyToIndexedTrace(original[i], masters[n],
                                               plan.origin[s][i],
                                               buffers[n]);
               ends[n][i] = buffers[n].size();
             }
-          } catch (...) {
-            fail_stage(n);
-            continue;
-          }
+          });
+          if (node_results[n].status != NodeStatus::kOk) continue;
           // Views over the filled buffer (stable now: no more appends).
           // An empty range is a suppressed trace.
           published[n].resize(trace_count);
@@ -915,61 +962,10 @@ Report ScenarioEngine::Run() {
             begin = ends[n][i];
           }
         }
-        for (std::size_t r = 0; r < row_count; ++r) {
-          for (std::size_t ss = 0; ss < seed_count; ++ss) {
-            const std::size_t terminal = c.rows[r].terminal[ss];
-            if (node_results[terminal].status != NodeStatus::kOk) continue;
-            for (std::size_t e = 0; e < eval_count; ++e) {
-              const std::size_t slot =
-                  (r * seed_count + ss) * eval_count + e;
-              NodeResult& cell = node_results[stage_count + slot];
-              if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-              ShardSlice slice;
-              slice.original = original;
-              slice.canonical_index = plan.origin[s];
-              slice.published = published[terminal];
-              slice.user_count = plan.global_names.size();
-              slice.original_bbox = original_bbox;
-              slice.published_bbox = published_bbox[terminal];
-              slice.original_t_min = t_min;
-              slice.original_t_max = t_max;
-              try {
-                folds[slot]->AccumulateShard(slice);
-              } catch (const std::exception& ex) {
-                cell = {NodeStatus::kFailed, ex.what()};
-              } catch (...) {
-                cell = {NodeStatus::kFailed, "unknown exception"};
-              }
-            }
-          }
-        }
+        merge.Feed(plan, s, original, published);
       }
-
-      // A stage failing mid-stream strands its cells' partial folds: mark
-      // them skipped exactly like the DAG would, then finalize survivors.
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk &&
-                cell.status == NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              folds[slot].reset();
-            }
-            if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-            try {
-              results[slot] = folds[slot]->Finalize();
-            } catch (const std::exception& ex) {
-              cell = {NodeStatus::kFailed, ex.what()};
-            } catch (...) {
-              cell = {NodeStatus::kFailed, "unknown exception"};
-            }
-          }
-        }
-      }
+      results = merge.Finalize();
+      stats_.fold_ms = merge.ms();
     });
     return assemble(node_results, results);
   }
@@ -979,9 +975,7 @@ Report ScenarioEngine::Run() {
   // cost the columnar format exists to shrink.
   const auto bind_start = std::chrono::steady_clock::now();
   BoundSource source = BoundSource::Bind(c.spec.source);
-  stats_.bind_ms += std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - bind_start)
-                        .count();
+  stats_.bind_ms += ElapsedMs(bind_start);
 
   const geo::LocalProjection frame =
       attacks::DatasetProjection(source.view());
@@ -1028,10 +1022,8 @@ Report ScenarioEngine::Run() {
       // point slows the node instead (the watchdog test hook).
       if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
                                      stage.prefix_name)) {
-        throw std::runtime_error(
-            "injected fault (" +
-            std::string(fault::points::kEngineMechanismRun) +
-            "): " + stage.prefix_name);
+        throw std::runtime_error(InjectedFault(
+            fault::points::kEngineMechanismRun, stage.prefix_name));
       }
       // Every stage node owns an independent stream derived from the cell
       // seed and the PREFIX canonical name: a row's bytes depend only on
@@ -1080,10 +1072,8 @@ Report ScenarioEngine::Run() {
         dag_node.work = [&, terminal, s, e, result_slot] {
           if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineEvaluatorRun,
                                          c.eval_names[e])) {
-            throw std::runtime_error(
-                "injected fault (" +
-                std::string(fault::points::kEngineEvaluatorRun) +
-                "): " + c.eval_names[e]);
+            throw std::runtime_error(InjectedFault(
+                fault::points::kEngineEvaluatorRun, c.eval_names[e]));
           }
           const EvalInput input{source.view(), published[terminal], frame,
                                 seeds[s]};

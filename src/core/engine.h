@@ -157,6 +157,10 @@ struct EngineStats {
   std::size_t skipped_nodes = 0;
   double bind_ms = 0.0;             ///< source open/map/parse time
   double run_ms = 0.0;              ///< DAG execution wall clock
+  /// Part of run_ms spent inside fold accumulate and finalize calls
+  /// (core::TraceFold) on the shard-streamed and worker paths; 0 on the
+  /// whole-view DAG.
+  double fold_ms = 0.0;
 
   [[nodiscard]] std::string ToString() const;
 };

@@ -50,7 +50,7 @@ struct MetricValue {
 /// One resident shard of a shard-streamed evaluation (see TraceFold).
 /// The spans alias the currently mapped shard plus the per-shard mechanism
 /// output buffer; they are valid only for the duration of one
-/// AccumulateShard call. Trace order within a shard is canonical-order
+/// Accumulate call. Trace order within a shard is canonical-order
 /// restricted: shard-local index ascending == original dataset order
 /// filtered to this shard's traces, and every trace of one user lives in
 /// the same shard — so per-user passes (radius of gyration) see exactly
@@ -76,18 +76,39 @@ struct ShardSlice {
 };
 
 /// Streaming accumulator for one (mechanism output, evaluator, seed) grid
-/// cell: the shard-streamed engine maps one shard at a time and calls
-/// AccumulateShard once per shard in ascending shard order (full-dataset
-/// extents already folded into every slice), then Finalize once.
-/// Contract: the returned metrics must be bit-identical to Evaluate()
-/// over the whole views — folds replicate their evaluator's arithmetic,
-/// not approximate it. Implementations are single-threaded (one fold per
-/// grid cell).
+/// cell, split into an original half and a published half.
+///
+/// - AccumulateOriginal reads only `original`, `canonical_index`,
+///   `user_count` and the original extents of a slice; AccumulatePublished
+///   reads only `published`, `canonical_index`, `user_count` and the
+///   extents. Each half is fed once per shard in ascending shard order.
+/// - The original half depends on (evaluator, seed) alone, never on the
+///   grid row. The shard-streamed engine therefore folds it once per
+///   (evaluator, seed) into one fold, feeds every row's fold only the
+///   published half, and has each row's fold AdoptOriginal that one
+///   before Finalize. AdoptOriginal takes a fold of the same evaluator
+///   and seed that has seen the same shards.
+/// - AccumulateShard feeds both halves of one slice to this fold: the
+///   one-fold-per-cell form callers outside the engine use.
+///
+/// Contract: Finalize must return metrics bit-identical to Evaluate()
+/// over the whole views, whichever of the two feeding forms produced the
+/// state — folds replicate their evaluator's arithmetic, not approximate
+/// it, and a half never reads state the other half writes. Folds are
+/// single-threaded objects.
 class TraceFold {
  public:
   virtual ~TraceFold() = default;
-  virtual void AccumulateShard(const ShardSlice& slice) = 0;
+  virtual void AccumulateOriginal(const ShardSlice& slice) = 0;
+  virtual void AccumulatePublished(const ShardSlice& slice) = 0;
+  /// Replaces this fold's original-side state with a copy of `source`'s.
+  virtual void AdoptOriginal(const TraceFold& source) = 0;
   [[nodiscard]] virtual std::vector<MetricValue> Finalize() = 0;
+
+  void AccumulateShard(const ShardSlice& slice) {
+    AccumulateOriginal(slice);
+    AccumulatePublished(slice);
+  }
 };
 
 class Evaluator {

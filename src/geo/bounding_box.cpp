@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace mobipriv::geo {
 
@@ -12,6 +13,11 @@ GeoBoundingBox::GeoBoundingBox(LatLng south_west, LatLng north_east) noexcept
 }
 
 void GeoBoundingBox::Extend(LatLng p) noexcept {
+  // A point with a NaN coordinate has no place on the map. Ignoring it
+  // while still marking the box initialized would leave an all-NaN trace
+  // with the inverted default corners, which Extend(box) then widens into
+  // the whole globe.
+  if (std::isnan(p.lat) || std::isnan(p.lng)) return;
   sw_.lat = std::min(sw_.lat, p.lat);
   sw_.lng = std::min(sw_.lng, p.lng);
   ne_.lat = std::max(ne_.lat, p.lat);

@@ -15,6 +15,8 @@ class GeoBoundingBox {
   GeoBoundingBox() = default;
   GeoBoundingBox(LatLng south_west, LatLng north_east) noexcept;
 
+  /// Grows the box to contain `p`. A point with a NaN coordinate leaves
+  /// the box, emptiness included, unchanged; +-inf coordinates extend it.
   void Extend(LatLng p) noexcept;
   void Extend(const GeoBoundingBox& other) noexcept;
 

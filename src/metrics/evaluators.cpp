@@ -25,33 +25,49 @@ constexpr std::uint64_t kRangeQuerySalt = 0x5251554552590001ULL;
 /// order; gyration is per-user and every user's traces share a home shard,
 /// so each radius computes whole from one slice. The projection frames
 /// come from the engine-folded full-dataset bounding boxes — identical to
-/// the ones CompareTrajectoryStats builds.
+/// the ones CompareTrajectoryStats builds. The two halves keep disjoint
+/// state: original trips and radii vs published ones.
 class TrajectoryStatsFold final : public core::TraceFold {
  public:
-  void AccumulateShard(const core::ShardSlice& slice) override {
+  void AccumulateOriginal(const core::ShardSlice& slice) override {
     if (!frame_original_) {
       frame_original_.emplace(slice.original_bbox.Center());
-      frame_published_.emplace(slice.published_bbox.Center());
       gyration_original_.assign(slice.user_count, 0.0);
-      gyration_published_.assign(slice.user_count, 0.0);
     }
     for (std::size_t i = 0; i < slice.original.size(); ++i) {
       const std::size_t slot = slice.canonical_index[i];
-      if (slot >= trip_original_.size()) {
-        trip_original_.resize(slot + 1, 0.0);
+      if (slot >= trip_original_.size()) trip_original_.resize(slot + 1, 0.0);
+      trip_original_[slot] = slice.original[i].LengthMeters();
+    }
+    AccumulateGyration(slice.original, *frame_original_, /*skip_empty=*/false,
+                       gyration_original_);
+  }
+
+  void AccumulatePublished(const core::ShardSlice& slice) override {
+    if (!frame_published_) {
+      frame_published_.emplace(slice.published_bbox.Center());
+      gyration_published_.assign(slice.user_count, 0.0);
+    }
+    for (std::size_t i = 0; i < slice.published.size(); ++i) {
+      const std::size_t slot = slice.canonical_index[i];
+      if (slot >= trip_published_.size()) {
         trip_published_.resize(slot + 1, 0.0);
         published_alive_.resize(slot + 1, 0);
       }
-      trip_original_[slot] = slice.original[i].LengthMeters();
       if (!slice.published[i].empty()) {
         trip_published_[slot] = slice.published[i].LengthMeters();
         published_alive_[slot] = 1;
       }
     }
-    AccumulateGyration(slice.original, *frame_original_, /*skip_empty=*/false,
-                       gyration_original_);
     AccumulateGyration(slice.published, *frame_published_,
                        /*skip_empty=*/true, gyration_published_);
+  }
+
+  void AdoptOriginal(const core::TraceFold& source) override {
+    const auto& other = dynamic_cast<const TrajectoryStatsFold&>(source);
+    frame_original_ = other.frame_original_;
+    trip_original_ = other.trip_original_;
+    gyration_original_ = other.gyration_original_;
   }
 
   std::vector<core::MetricValue> Finalize() override {
@@ -126,35 +142,38 @@ class TrajectoryStatsFold final : public core::TraceFold {
   std::vector<double> gyration_published_;
 };
 
-/// Shard-streamed range_queries. The workload samples once, from the
-/// engine-folded full-dataset extents — the identical draw sequence
-/// SampleQueries makes — and per-query event counts are integers, so
-/// summing them shard by shard is exact.
+/// Shard-streamed range_queries. The workload samples once per fold,
+/// from the engine-folded full-dataset extents — the identical draw
+/// sequence SampleQueries makes — and per-query event counts are
+/// integers, so summing them shard by shard is exact. Each half counts
+/// its side through the AccumulateRangeCounts kernel.
 class RangeQueryFold final : public core::TraceFold {
  public:
   RangeQueryFold(const RangeQueryConfig& config, std::uint64_t seed)
       : config_(config), seed_(seed) {}
 
-  void AccumulateShard(const core::ShardSlice& slice) override {
-    if (!sampled_) {
-      sampled_ = true;
-      util::Rng rng(util::DeriveStreamSeed(seed_, kRangeQuerySalt, 0));
-      queries_ = SampleQueriesFromExtent(slice.original_bbox,
-                                         slice.original_t_min,
-                                         slice.original_t_max, config_, rng);
-      count_original_.assign(queries_.size(), 0);
-      count_published_.assign(queries_.size(), 0);
+  void AccumulateOriginal(const core::ShardSlice& slice) override {
+    Sample(slice);
+    for (const model::TraceView& trace : slice.original) {
+      AccumulateRangeCounts(trace, queries_, count_original_);
     }
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      for (const model::TraceView& trace : slice.original) {
-        count_original_[q] += CountEvents(trace, queries_[q]);
-      }
-      // Suppressed outputs are empty views and count zero events — the
-      // same zero the whole-view path gets from dropping them.
-      for (const model::TraceView& trace : slice.published) {
-        count_published_[q] += CountEvents(trace, queries_[q]);
-      }
+  }
+
+  void AccumulatePublished(const core::ShardSlice& slice) override {
+    Sample(slice);
+    // Suppressed outputs are empty views and count zero events — the
+    // same zero the whole-view path gets from dropping them.
+    for (const model::TraceView& trace : slice.published) {
+      AccumulateRangeCounts(trace, queries_, count_published_);
     }
+  }
+
+  void AdoptOriginal(const core::TraceFold& source) override {
+    const auto& other = dynamic_cast<const RangeQueryFold&>(source);
+    sampled_ = other.sampled_;
+    queries_ = other.queries_;
+    count_original_ = other.count_original_;
+    count_published_.resize(queries_.size(), 0);
   }
 
   std::vector<core::MetricValue> Finalize() override {
@@ -173,6 +192,17 @@ class RangeQueryFold final : public core::TraceFold {
   }
 
  private:
+  void Sample(const core::ShardSlice& slice) {
+    if (sampled_) return;
+    sampled_ = true;
+    util::Rng rng(util::DeriveStreamSeed(seed_, kRangeQuerySalt, 0));
+    queries_ = SampleQueriesFromExtent(slice.original_bbox,
+                                       slice.original_t_min,
+                                       slice.original_t_max, config_, rng);
+    count_original_.assign(queries_.size(), 0);
+    count_published_.assign(queries_.size(), 0);
+  }
+
   RangeQueryConfig config_;
   std::uint64_t seed_;
   bool sampled_ = false;

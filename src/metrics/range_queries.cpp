@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "util/string_utils.h"
@@ -37,6 +39,60 @@ std::size_t CountEvents(const model::TraceView& trace,
     if (query.box.Contains(trace.position(i))) ++count;
   }
   return count;
+}
+
+void AccumulateRangeCounts(const model::TraceView& trace,
+                           std::span<const RangeQuery> queries,
+                           std::span<std::size_t> counts) {
+  assert(counts.size() == queries.size());
+  const std::size_t n = trace.size();
+  if (n == 0) return;
+  geo::GeoBoundingBox box;
+  util::Timestamp t_min = trace.time(0);
+  util::Timestamp t_max = t_min;
+  bool sorted = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const util::Timestamp time = trace.time(i);
+    // While the prefix is sorted its running maximum is the previous fix.
+    sorted = sorted && time >= t_max;
+    t_min = std::min(t_min, time);
+    t_max = std::max(t_max, time);
+    box.Extend(trace.position(i));
+  }
+  // First index whose time fails `before` (times non-decreasing).
+  const auto partition_point = [&](auto before) {
+    std::size_t lo = 0;
+    std::size_t hi = n;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (before(trace.time(mid))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const RangeQuery& query = queries[q];
+    // A fix Contains accepts has no NaN coordinate, so it lies in `box`;
+    // missing the box or the time span therefore means a zero count.
+    if (query.to < t_min || query.from > t_max) continue;
+    if (!box.Intersects(query.box)) continue;
+    if (!sorted) {
+      counts[q] += CountEvents(trace, query);
+      continue;
+    }
+    const std::size_t begin = partition_point(
+        [&](util::Timestamp time) { return time < query.from; });
+    const std::size_t end = partition_point(
+        [&](util::Timestamp time) { return time <= query.to; });
+    std::size_t count = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (query.box.Contains(trace.position(i))) ++count;
+    }
+    counts[q] += count;
+  }
 }
 
 std::vector<RangeQuery> SampleQueries(const model::DatasetView& dataset,
@@ -108,23 +164,37 @@ std::string RangeQueryReport::ToString() const {
 RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,
     const std::vector<RangeQuery>& queries) {
+  // Traces fan out into chunk-local counts merged under a lock; integer
+  // sums are order-free, so the report is byte-identical at any worker
+  // count.
+  const auto count_per_query = [&](const model::DatasetView& dataset) {
+    std::vector<std::size_t> counts(queries.size(), 0);
+    std::mutex mutex;
+    util::ParallelFor(dataset.TraceCount(), [&](std::size_t begin,
+                                                std::size_t end) {
+      std::vector<std::size_t> local(queries.size(), 0);
+      for (std::size_t t = begin; t < end; ++t) {
+        AccumulateRangeCounts(dataset.trace(t), queries, local);
+      }
+      const std::lock_guard<std::mutex> lock(mutex);
+      for (std::size_t q = 0; q < queries.size(); ++q) counts[q] += local[q];
+    });
+    return counts;
+  };
+  const std::vector<std::size_t> count_orig = count_per_query(original);
+  const std::vector<std::size_t> count_pub = count_per_query(published);
+
   RangeQueryReport report;
   report.queries = queries.size();
-  // Queries are independent full scans; fan them out into pre-sized slots
-  // (fixed merge order keeps the summary byte-identical at any worker
-  // count).
   std::vector<double> errors(queries.size());
-  std::vector<unsigned char> empty(queries.size(), 0);
-  util::ParallelForEach(queries.size(), [&](std::size_t q) {
-    const auto count_orig = CountEvents(original, queries[q]);
-    const auto count_pub = CountEvents(published, queries[q]);
-    if (count_orig == 0) empty[q] = 1;
-    const double denom = std::max<double>(1.0, static_cast<double>(count_orig));
-    errors[q] = std::abs(static_cast<double>(count_orig) -
-                         static_cast<double>(count_pub)) /
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    if (count_orig[q] == 0) ++report.empty_on_original;
+    const double denom =
+        std::max<double>(1.0, static_cast<double>(count_orig[q]));
+    errors[q] = std::abs(static_cast<double>(count_orig[q]) -
+                         static_cast<double>(count_pub[q])) /
                 denom;
-  });
-  for (const unsigned char e : empty) report.empty_on_original += e;
+  }
   report.relative_error = util::Summary::Of(errors);
   return report;
 }

@@ -6,6 +6,7 @@
 // the Wait4Me paper the baseline reimplements).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,16 +34,29 @@ struct RangeQueryConfig {
   util::Timestamp max_duration_s = 4 * 3600;
 };
 
-/// Number of events inside the query (closed bounds). The view form is
-/// the implementation; the Dataset form adapts zero-copy. The TraceView
-/// form counts one trace (sum over traces == the dataset count — what the
-/// shard-streamed fold accumulates).
+/// Number of events inside the query (closed bounds), by a plain scan:
+/// the reference AccumulateRangeCounts is tested against. The view form
+/// is the implementation; the Dataset form adapts zero-copy. The
+/// TraceView form counts one trace (sum over traces == the dataset
+/// count).
 [[nodiscard]] std::size_t CountEvents(const model::DatasetView& dataset,
                                       const RangeQuery& query);
 [[nodiscard]] std::size_t CountEvents(const model::Dataset& dataset,
                                       const RangeQuery& query);
 [[nodiscard]] std::size_t CountEvents(const model::TraceView& trace,
                                       const RangeQuery& query);
+
+/// The range-count kernel: adds `trace`'s count inside each query to
+/// `counts[q]` (closed bounds, exactly CountEvents(trace, queries[q])).
+/// One pass records the trace's lat/lng box, time span and whether its
+/// times are non-decreasing; a query missing the box or the span costs
+/// two compares, and on a sorted trace only the fixes binary-searched
+/// into [from, to] are box-tested. Unsorted times (hostile `.mpc` input
+/// is not validated on load) fall back to a linear scan per query.
+/// Counts are integers, so summing them in any order is exact.
+void AccumulateRangeCounts(const model::TraceView& trace,
+                           std::span<const RangeQuery> queries,
+                           std::span<std::size_t> counts);
 
 /// Samples a query workload covering the dataset's extent and time span.
 [[nodiscard]] std::vector<RangeQuery> SampleQueries(
@@ -70,8 +84,9 @@ struct RangeQueryReport {
 };
 
 /// Runs the workload on both datasets and reports the error distribution.
-/// Queries fan out on the thread pool into pre-sized slots, so the report
-/// is byte-identical at any worker count. The view form is the
+/// Traces fan out on the thread pool through AccumulateRangeCounts; the
+/// per-query counts are integer sums, so the report is byte-identical at
+/// any worker count. The view form is the
 /// implementation; the Dataset form adapts zero-copy.
 [[nodiscard]] RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mobipriv::geo {
 namespace {
 
@@ -57,6 +59,43 @@ TEST(GeoBoundingBox, OfPoints) {
   EXPECT_EQ(box.SouthWest(), (LatLng{45.0, 4.1}));
   EXPECT_EQ(box.NorthEast(), (LatLng{45.9, 4.8}));
   EXPECT_TRUE(GeoBoundingBox::Of({}).IsEmpty());
+}
+
+TEST(GeoBoundingBox, NanPointLeavesBoxUnchanged) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GeoBoundingBox empty;
+  empty.Extend({nan, nan});
+  empty.Extend({nan, 4.0});
+  empty.Extend({45.0, nan});
+  EXPECT_TRUE(empty.IsEmpty());
+  EXPECT_FALSE(empty.Contains({45.0, 4.0}));
+
+  GeoBoundingBox box({45.0, 4.0}, {46.0, 5.0});
+  box.Extend({nan, 9.0});
+  box.Extend({9.0, nan});
+  EXPECT_EQ(box.SouthWest(), (LatLng{45.0, 4.0}));
+  EXPECT_EQ(box.NorthEast(), (LatLng{46.0, 5.0}));
+
+  // Infinite coordinates are points at the edge of the plane, not gaps.
+  GeoBoundingBox wide;
+  wide.Extend({45.0, std::numeric_limits<double>::infinity()});
+  EXPECT_FALSE(wide.IsEmpty());
+  EXPECT_EQ(wide.NorthEast().lng, std::numeric_limits<double>::infinity());
+}
+
+TEST(GeoBoundingBox, AllNanTraceDoesNotStretchTheDatasetBox) {
+  // One finite two-fix trace plus a single-fix all-NaN trace: the union
+  // of the per-trace boxes must be the finite trace's box, not the globe.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const GeoBoundingBox finite =
+      GeoBoundingBox::Of({{45.0, 4.0}, {45.1, 4.2}});
+  const GeoBoundingBox nan_trace = GeoBoundingBox::Of({{nan, nan}});
+  EXPECT_TRUE(nan_trace.IsEmpty());
+  GeoBoundingBox dataset;
+  dataset.Extend(finite);
+  dataset.Extend(nan_trace);
+  EXPECT_EQ(dataset.SouthWest(), (LatLng{45.0, 4.0}));
+  EXPECT_EQ(dataset.NorthEast(), (LatLng{45.1, 4.2}));
 }
 
 TEST(GeoBoundingBox, DiagonalPositive) {

@@ -12,11 +12,13 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,7 +59,7 @@ std::string MakeShardDir(const std::string& name, std::size_t shards) {
 
 /// A grid the multi-process path accepts: single-stage per-trace
 /// mechanisms, foldable evaluators. Canonical stage names (the fault
-/// keys) are "gaussian[sigma=100m]", "geo_ind[eps=0.01]",
+/// keys) are "gaussian[sigma=100m]", "geo_ind[eps=0.0100]",
 /// "cloaking[cell=250m]".
 core::ScenarioSpec FoldableSpec() {
   core::ScenarioSpec spec;
@@ -309,6 +311,106 @@ TEST_F(ShardExec, WorkerReportedIoErrorIsPermanentAndDeterministic) {
     } else {
       EXPECT_EQ(csv, first_csv) << "degraded report not worker-invariant";
     }
+  }
+  fs::remove_all(dir);
+}
+
+using Group = std::pair<std::string, std::uint64_t>;
+
+/// (mechanism, seed) groups of `report` that carry a non-ok row.
+std::set<Group> DegradedGroups(const core::Report& report) {
+  std::set<Group> groups;
+  for (const core::ReportRow& row : report.rows()) {
+    if (row.status != core::RowStatus::kOk) {
+      groups.emplace(row.mechanism, row.seed);
+    }
+  }
+  return groups;
+}
+
+/// Every ok row of `report` equals its `reference` row bit for bit, and
+/// every reference row outside the degraded groups is present and ok.
+void ExpectHealthyRowsMatch(const core::Report& report,
+                            const core::Report& reference) {
+  const std::set<Group> degraded = DegradedGroups(report);
+  const auto find = [](const core::Report& in, const core::ReportRow& key) {
+    for (const core::ReportRow& row : in.rows()) {
+      if (row.mechanism == key.mechanism && row.seed == key.seed &&
+          row.evaluator == key.evaluator && row.metric == key.metric) {
+        return &row;
+      }
+    }
+    return static_cast<const core::ReportRow*>(nullptr);
+  };
+  for (const core::ReportRow& row : report.rows()) {
+    if (row.status != core::RowStatus::kOk) continue;
+    const core::ReportRow* want = find(reference, row);
+    ASSERT_NE(want, nullptr) << row.mechanism << " " << row.metric;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.value),
+              std::bit_cast<std::uint64_t>(want->value))
+        << row.mechanism << " seed " << row.seed << " " << row.metric;
+  }
+  for (const core::ReportRow& want : reference.rows()) {
+    if (degraded.count({want.mechanism, want.seed}) != 0) continue;
+    const core::ReportRow* got = find(report, want);
+    ASSERT_NE(got, nullptr) << want.mechanism << " " << want.metric;
+    EXPECT_EQ(got->status, core::RowStatus::kOk);
+  }
+}
+
+TEST_F(ShardExec, FailedStageStrandsOnlyItsOwnRows) {
+  REQUIRE_WORKER_BINARY();
+  const std::string dir = MakeShardDir("mobipriv_exec_isolation", 4);
+  core::ScenarioSpec healthy_spec = FoldableSpec();
+  healthy_spec.source = core::DatasetSourceSpec::Borrowed(World());
+  const core::Report healthy = core::RunScenario(std::move(healthy_spec));
+
+  // Supervisor side: kEngineMechanismRun fails the middle row's stage on
+  // both seeds before dispatch; the merge still feeds the other rows from
+  // the original-side folds they share with it. The degraded report
+  // equals the whole-view DAG's under the same fault.
+  const auto arm = [] {
+    fault::Config config;
+    config.times = 2;
+    config.key_filter = "geo_ind*";
+    fault::Arm(fault::points::kEngineMechanismRun, config);
+  };
+  arm();
+  core::ScenarioSpec dag_spec = FoldableSpec();
+  dag_spec.source = core::DatasetSourceSpec::Borrowed(World());
+  const std::string degraded_dag =
+      core::RunScenario(std::move(dag_spec)).ToCsv();
+  for (const std::size_t workers : {1u, 2u}) {
+    arm();
+    core::ScenarioSpec spec = FoldableSpec();
+    spec.source = core::DatasetSourceSpec::ShardDir(dir);
+    spec.workers = workers;
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    EXPECT_EQ(report.ToCsv(), degraded_dag) << "workers=" << workers;
+    EXPECT_EQ(DegradedGroups(report),
+              (std::set<Group>{{"geo_ind[eps=0.0100]", 5},
+                               {"geo_ind[eps=0.0100]", 9}}));
+    ExpectHealthyRowsMatch(report, healthy);
+    EXPECT_GT(engine.stats().fold_ms, 0.0);
+    EXPECT_LE(engine.stats().fold_ms, engine.stats().run_ms);
+  }
+  fault::DisarmAll();
+
+  // Worker side: one cloaking stage's result write fails permanently, so
+  // one (cloaking, seed) group degrades while the other cloaking seed and
+  // every other row keep the healthy values.
+  ScopedWorkerFaults faults("worker.result.write=once,key:cloaking*");
+  for (const std::size_t workers : {1u, 2u}) {
+    core::ScenarioSpec spec = FoldableSpec();
+    spec.source = core::DatasetSourceSpec::ShardDir(dir);
+    spec.workers = workers;
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    const std::set<Group> degraded = DegradedGroups(report);
+    ASSERT_EQ(degraded.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(degraded.begin()->first, "cloaking[cell=250m]");
+    ExpectHealthyRowsMatch(report, healthy);
   }
   fs::remove_all(dir);
 }

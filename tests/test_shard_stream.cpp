@@ -5,14 +5,19 @@
 // eligibility gating around it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "core/engine.h"
 #include "core/scenario.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
 #include "synth/population.h"
+#include "util/fault.h"
 
 namespace mobipriv {
 namespace {
@@ -129,6 +134,123 @@ TEST(ShardStream, FallsBackOnChainRow) {
   const core::Report report = engine.Run();
   EXPECT_EQ(engine.stats().streamed_shards, 0u);
   EXPECT_TRUE(report.AllOk());
+  fs::remove_all(dir);
+}
+
+TEST(ShardStream, FoldTimeIsReportedOnStreamedRunsOnly) {
+  const std::string dir = MakeShardDir("mobipriv_stream_fold_ms", 3);
+  core::ScenarioSpec whole_spec = FoldableSpec();
+  whole_spec.source = core::DatasetSourceSpec::Borrowed(World());
+  core::ScenarioEngine whole(std::move(whole_spec));
+  (void)whole.Run();
+  EXPECT_EQ(whole.stats().fold_ms, 0.0);
+  EXPECT_EQ(whole.stats().ToString().find("fold_ms="), std::string::npos);
+
+  core::ScenarioSpec streamed_spec = FoldableSpec();
+  streamed_spec.source = core::DatasetSourceSpec::ShardDir(dir);
+  core::ScenarioEngine streamed(std::move(streamed_spec));
+  (void)streamed.Run();
+  EXPECT_EQ(streamed.stats().streamed_shards, 3u);
+  EXPECT_GT(streamed.stats().fold_ms, 0.0);
+  EXPECT_LE(streamed.stats().fold_ms, streamed.stats().run_ms);
+  EXPECT_NE(streamed.stats().ToString().find("fold_ms="), std::string::npos);
+  fs::remove_all(dir);
+}
+
+using Group = std::pair<std::string, std::uint64_t>;
+
+/// (mechanism, seed) groups of `report` that carry a non-ok row.
+std::set<Group> DegradedGroups(const core::Report& report) {
+  std::set<Group> groups;
+  for (const core::ReportRow& row : report.rows()) {
+    if (row.status != core::RowStatus::kOk) {
+      groups.emplace(row.mechanism, row.seed);
+    }
+  }
+  return groups;
+}
+
+/// Every ok row of `report` equals its `reference` row bit for bit, and
+/// every reference row outside the degraded groups is present and ok.
+void ExpectHealthyRowsMatch(const core::Report& report,
+                            const core::Report& reference) {
+  const std::set<Group> degraded = DegradedGroups(report);
+  const auto find = [](const core::Report& in, const core::ReportRow& key) {
+    for (const core::ReportRow& row : in.rows()) {
+      if (row.mechanism == key.mechanism && row.seed == key.seed &&
+          row.evaluator == key.evaluator && row.metric == key.metric) {
+        return &row;
+      }
+    }
+    return static_cast<const core::ReportRow*>(nullptr);
+  };
+  for (const core::ReportRow& row : report.rows()) {
+    if (row.status != core::RowStatus::kOk) continue;
+    const core::ReportRow* want = find(reference, row);
+    ASSERT_NE(want, nullptr) << row.mechanism << " " << row.metric;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.value),
+              std::bit_cast<std::uint64_t>(want->value))
+        << row.mechanism << " seed " << row.seed << " " << row.metric;
+  }
+  for (const core::ReportRow& want : reference.rows()) {
+    if (degraded.count({want.mechanism, want.seed}) != 0) continue;
+    const core::ReportRow* got = find(report, want);
+    ASSERT_NE(got, nullptr) << want.mechanism << " " << want.metric;
+    EXPECT_EQ(got->status, core::RowStatus::kOk);
+  }
+}
+
+TEST(ShardStream, FailedStageOrCellStrandsOnlyItsOwnRows) {
+  namespace fault = util::fault;
+  const std::string dir = MakeShardDir("mobipriv_stream_isolation", 6);
+  core::ScenarioSpec healthy_spec = FoldableSpec();
+  healthy_spec.source = core::DatasetSourceSpec::Borrowed(World());
+  const core::Report healthy = core::RunScenario(std::move(healthy_spec));
+
+  // Rows share one original-side fold per (evaluator, seed). A failed
+  // stage (the middle row, both seeds) or one failed cell (the first
+  // trajectory_stats cell: gaussian, seed 5) must degrade exactly what
+  // the whole-view DAG degrades and leave every other value untouched.
+  struct Case {
+    std::string_view point;
+    std::string key;
+    std::uint64_t times;
+    std::set<Group> degraded;
+  };
+  const std::vector<Case> cases = {
+      {fault::points::kEngineMechanismRun, "geo_ind*", 2,
+       {{"geo_ind[eps=0.0100]", 5}, {"geo_ind[eps=0.0100]", 9}}},
+      {fault::points::kEngineEvaluatorRun, "trajectory_stats", 1,
+       {{"gaussian[sigma=100m]", 5}}},
+  };
+  for (const Case& c : cases) {
+    const auto arm = [&] {
+      fault::Config config;
+      config.times = c.times;
+      config.key_filter = c.key;
+      fault::Arm(c.point, config);
+    };
+    arm();
+    core::ScenarioSpec dag_spec = FoldableSpec();
+    dag_spec.source = core::DatasetSourceSpec::Borrowed(World());
+    dag_spec.threads = 1;  // cell faults trip in node order
+    const std::string degraded_dag =
+        core::RunScenario(std::move(dag_spec)).ToCsv();
+    for (const std::size_t threads : {1u, 4u}) {
+      arm();
+      core::ScenarioSpec spec = FoldableSpec();
+      spec.source = core::DatasetSourceSpec::ShardDir(dir);
+      spec.threads = threads;
+      core::ScenarioEngine engine(std::move(spec));
+      const core::Report report = engine.Run();
+      EXPECT_EQ(engine.stats().streamed_shards, 6u);
+      EXPECT_EQ(report.ToCsv(), degraded_dag)
+          << c.point << " threads=" << threads;
+      EXPECT_EQ(DegradedGroups(report), c.degraded) << c.point;
+      ExpectHealthyRowsMatch(report, healthy);
+    }
+    fault::DisarmAll();
+  }
   fs::remove_all(dir);
 }
 
