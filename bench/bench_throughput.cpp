@@ -532,6 +532,43 @@ BENCHMARK(BM_EngineGridChainShared)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+void BM_EngineGridSweep(benchmark::State& state) {
+  util::ResetPeakRss();
+  // The researcher's sweep shape: the paper's speed_smoothing|mixzone
+  // pipeline and four rows extending it, scored by utility and attack
+  // evaluators on two seeds. Every cell is scored against the one
+  // original, so the engine prepares each evaluator's original side once
+  // per seed (original_preparations = 4 x 2) instead of once per cell (40).
+  const auto agents = static_cast<std::size_t>(state.range(0));
+  const std::string& path = ColumnarPathOfSize(agents);
+  std::size_t events = 0;
+  for (auto _ : state) {
+    core::ScenarioSpec spec;
+    spec.source = core::DatasetSourceSpec::ColumnarFile(path);
+    spec.mechanisms = {"speed_smoothing|mixzone",
+                       "speed_smoothing|mixzone|downsampling[dt=120]",
+                       "speed_smoothing|mixzone|cloaking",
+                       "speed_smoothing|mixzone|gaussian",
+                       "speed_smoothing|mixzone|geo_ind[eps=0.1]"};
+    spec.evaluators = {"coverage", "trajectory_stats", "certification",
+                       "poi_attack"};
+    spec.seeds = {1, 2};
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    benchmark::DoNotOptimize(report.rows().size());
+    state.counters["original_preparations"] =
+        static_cast<double>(engine.stats().original_preparations);
+    events += WorldOfSize(agents).dataset().EventCount();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  RecordPeakRss(state);
+}
+BENCHMARK(BM_EngineGridSweep)
+    ->Arg(100)
+    ->Arg(1000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // ---- SIMD batch kernels (roofline-annotated) --------------------------------
 // Each kernel bench sets BOTH counters so the JSON carries a roofline
 // coordinate: items_per_second (elements/s) and bytes_per_second (the

@@ -12,6 +12,22 @@ namespace mobipriv::attacks {
 // input user up front, in id order), so original and published user ids
 // compare directly in the evaluators below.
 
+namespace {
+
+struct PoiState final : core::OriginalState {
+  std::vector<ExtractedPoi> reference;
+};
+
+struct ReidentState final : core::OriginalState {
+  std::vector<MobilityProfile> profiles;
+};
+
+struct HomeWorkState final : core::OriginalState {
+  std::vector<HomeWorkGuess> reference;
+};
+
+}  // namespace
+
 PoiAttackEvaluator::PoiAttackEvaluator(PoiExtractionConfig extraction,
                                        double match_radius_m)
     : extraction_(extraction), match_radius_m_(match_radius_m) {}
@@ -32,15 +48,23 @@ std::string PoiAttackEvaluator::Name() const {
   return name + "]";
 }
 
-std::vector<core::MetricValue> PoiAttackEvaluator::Evaluate(
-    const core::EvalInput& input) const {
+std::shared_ptr<const core::OriginalState> PoiAttackEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& frame,
+    std::uint64_t /*seed*/) const {
   // Reference POIs come from the STANDARD extractor on the original
   // data; the (possibly adaptive) configured extractor attacks the
   // published data — see the class comment.
-  const PoiExtractor reference_extractor{PoiExtractionConfig{}};
+  auto state = std::make_shared<PoiState>();
+  state->reference =
+      PoiExtractor{PoiExtractionConfig{}}.Extract(original, frame);
+  return state;
+}
+
+std::vector<core::MetricValue> PoiAttackEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  const std::vector<ExtractedPoi>& reference =
+      core::StateAs<PoiState>(state).reference;
   const PoiExtractor extractor(extraction_);
-  const std::vector<ExtractedPoi> reference =
-      reference_extractor.Extract(input.original, input.frame);
   const std::vector<ExtractedPoi> published =
       extractor.Extract(input.published, input.frame);
 
@@ -73,11 +97,21 @@ ReidentEvaluator::ReidentEvaluator(ReidentConfig config)
 
 std::string ReidentEvaluator::Name() const { return "reident"; }
 
-std::vector<core::MetricValue> ReidentEvaluator::Evaluate(
-    const core::EvalInput& input) const {
+std::shared_ptr<const core::OriginalState> ReidentEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& frame,
+    std::uint64_t /*seed*/) const {
+  auto state = std::make_shared<ReidentState>();
+  state->profiles =
+      ReidentificationAttack(config_).BuildProfiles(original, frame);
+  return state;
+}
+
+std::vector<core::MetricValue> ReidentEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
   const ReidentificationAttack attack(config_);
-  const auto profiles = attack.BuildProfiles(input.original, input.frame);
-  const auto results = attack.Attack(profiles, input.published, input.frame);
+  const auto results =
+      attack.Attack(core::StateAs<ReidentState>(state).profiles,
+                    input.published, input.frame);
   const metrics::ReidentReport report = metrics::SummarizeReident(results);
   const double linkable_frac =
       report.traces == 0 ? 0.0
@@ -96,11 +130,20 @@ std::string HomeWorkEvaluator::Name() const {
   return "home_work[radius=" + util::FormatDouble(match_radius_m_, 0) + "m]";
 }
 
-std::vector<core::MetricValue> HomeWorkEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  const HomeWorkAttack attack(config_);
-  const auto reference = attack.Infer(input.original, input.frame);
-  const auto published = attack.Infer(input.published, input.frame);
+std::shared_ptr<const core::OriginalState> HomeWorkEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& frame,
+    std::uint64_t /*seed*/) const {
+  auto state = std::make_shared<HomeWorkState>();
+  state->reference = HomeWorkAttack(config_).Infer(original, frame);
+  return state;
+}
+
+std::vector<core::MetricValue> HomeWorkEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  const std::vector<HomeWorkGuess>& reference =
+      core::StateAs<HomeWorkState>(state).reference;
+  const auto published = HomeWorkAttack(config_).Infer(input.published,
+                                                       input.frame);
   std::map<model::UserId, const HomeWorkGuess*> published_by_user;
   for (const HomeWorkGuess& guess : published) {
     published_by_user[guess.user] = &guess;

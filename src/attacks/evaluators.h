@@ -27,8 +27,13 @@ class PoiAttackEvaluator final : public core::Evaluator {
   explicit PoiAttackEvaluator(PoiExtractionConfig extraction = {},
                               double match_radius_m = 250.0);
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the reference POIs (standard extractor on the original).
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   PoiExtractionConfig extraction_;
@@ -41,8 +46,13 @@ class ReidentEvaluator final : public core::Evaluator {
  public:
   explicit ReidentEvaluator(ReidentConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the profiles trained on the original.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   ReidentConfig config_;
@@ -56,8 +66,13 @@ class HomeWorkEvaluator final : public core::Evaluator {
   explicit HomeWorkEvaluator(HomeWorkConfig config = {},
                              double match_radius_m = 300.0);
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the original-data home/work guesses.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   HomeWorkConfig config_;

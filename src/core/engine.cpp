@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -337,6 +339,12 @@ class FoldMerge {
 
   /// Wall time spent in fold accumulate and finalize calls.
   [[nodiscard]] double ms() const noexcept { return ms_; }
+  /// Original-side folds built: one per (evaluator, seed) with a live cell.
+  [[nodiscard]] std::size_t preparations() const {
+    return static_cast<std::size_t>(
+        std::count_if(originals_.begin(), originals_.end(),
+                      [](const auto& fold) { return fold != nullptr; }));
+  }
 
  private:
   NodeResult& Cell(std::size_t slot) {
@@ -450,6 +458,9 @@ std::string EngineStats::ToString() const {
   os << "grid_cells=" << grid_cells
      << " mechanism_nodes=" << mechanism_nodes
      << " evaluator_nodes=" << evaluator_nodes;
+  if (original_preparations > 0) {
+    os << " original_preparations=" << original_preparations;
+  }
   if (stage_reuses > 0) os << " stage_reuses=" << stage_reuses;
   if (cache_hits + cache_misses > 0) {
     os << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses;
@@ -856,6 +867,7 @@ Report ScenarioEngine::Run() {
       }
       results = merge.Finalize();
       stats_.fold_ms = merge.ms();
+      stats_.original_preparations = merge.preparations();
     });
     return assemble(node_results, results);
   }
@@ -966,6 +978,7 @@ Report ScenarioEngine::Run() {
       }
       results = merge.Finalize();
       stats_.fold_ms = merge.ms();
+      stats_.original_preparations = merge.preparations();
     });
     return assemble(node_results, results);
   }
@@ -1002,6 +1015,20 @@ Report ScenarioEngine::Run() {
   std::vector<model::EventStore> outputs(stage_count);
   std::vector<model::DatasetView> published(stage_count);
   std::vector<std::vector<MetricValue>> results(eval_nodes);
+
+  // One compute-once original half per (seed index, evaluator): the first
+  // live cell that needs it runs PrepareOriginal, every later cell of the
+  // pair reads the shared state. A throwing preparation is captured once
+  // and rethrown in each cell that needs it, so every such cell fails
+  // with the text it would have thrown itself; a pair with no live cell
+  // is never prepared.
+  struct OriginalSlot {
+    std::once_flag once;
+    std::shared_ptr<const OriginalState> state;
+    std::exception_ptr error;
+  };
+  std::vector<OriginalSlot> original_slots(seed_count * eval_count);
+  std::atomic<std::size_t> original_preparations{0};
 
   // ---- Compile the DAG (topological layout: stages, then evals). ------
   // Stage nodes are in creation order, so a node's parent always precedes
@@ -1075,9 +1102,21 @@ Report ScenarioEngine::Run() {
             throw std::runtime_error(InjectedFault(
                 fault::points::kEngineEvaluatorRun, c.eval_names[e]));
           }
+          OriginalSlot& original = original_slots[s * eval_count + e];
+          std::call_once(original.once, [&] {
+            original_preparations.fetch_add(1, std::memory_order_relaxed);
+            try {
+              original.state = c.evaluators[e]->PrepareOriginal(
+                  source.view(), frame, seeds[s]);
+            } catch (...) {
+              original.error = std::current_exception();
+            }
+          });
+          if (original.error) std::rethrow_exception(original.error);
           const EvalInput input{source.view(), published[terminal], frame,
                                 seeds[s]};
-          results[result_slot] = c.evaluators[e]->Evaluate(input);
+          results[result_slot] =
+              c.evaluators[e]->Compare(input, original.state.get());
         };
         nodes[terminal].dependents.push_back(nodes.size());
         nodes.push_back(std::move(dag_node));
@@ -1092,6 +1131,8 @@ Report ScenarioEngine::Run() {
   stats_.cache_misses = cache_misses.load(std::memory_order_relaxed);
   stats_.cache_read_retries = cache ? cache->read_retries() : 0;
   stats_.cache_evictions = cache ? cache->evictions() : 0;
+  stats_.original_preparations =
+      original_preparations.load(std::memory_order_relaxed);
   return assemble(node_results, results);
 }
 

@@ -11,7 +11,10 @@
 // grid of M mechanisms x E evaluators therefore applies each mechanism
 // once, not E times — the reason an engine grid is measurably faster than
 // the equivalent standalone bench runs (bench_throughput's
-// BM_EngineGrid / BM_EngineGridIndependent pair).
+// BM_EngineGrid / BM_EngineGridIndependent pair). Evaluator nodes share
+// the original side the same way: each (evaluator, seed) has one
+// compute-once Evaluator::PrepareOriginal state that the first live cell
+// fills and every later cell of the pair reads.
 //
 // Chain specs ("a[...]|b[...]|c") compile into one node PER STAGE, keyed
 // by (prefix canonical name, seed) where the prefix name is the stage
@@ -120,6 +123,13 @@ struct EngineStats {
   std::size_t grid_cells = 0;       ///< spec mechanisms x seeds x evaluators
   std::size_t mechanism_nodes = 0;  ///< memoized (stage prefix, seed) nodes
   std::size_t evaluator_nodes = 0;  ///< evaluation nodes run
+  /// (evaluator, seed) original halves computed: on the whole-view DAG,
+  /// the Evaluator::PrepareOriginal slots filled (evaluators whose
+  /// PrepareOriginal returns nothing included); on the shard-streamed and
+  /// worker paths, the original-side folds the fold merge runs. Each is
+  /// computed once for every grid row scored against it, and only when at
+  /// least one of its cells is live.
+  std::size_t original_preparations = 0;
   /// Stage references served by an already-compiled node instead of a new
   /// one: total (row, seed, stage) references minus mechanism_nodes. 0
   /// when no grid rows share a chain prefix (or duplicate a mechanism);

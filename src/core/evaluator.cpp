@@ -120,6 +120,18 @@ Registry& GlobalRegistry() {
 
 }  // namespace
 
+std::shared_ptr<const OriginalState> Evaluator::PrepareOriginal(
+    const model::DatasetView& /*original*/,
+    const geo::LocalProjection& /*frame*/, std::uint64_t /*seed*/) const {
+  return nullptr;
+}
+
+std::vector<MetricValue> Evaluator::Evaluate(const EvalInput& input) const {
+  const std::shared_ptr<const OriginalState> state =
+      PrepareOriginal(input.original, input.frame, input.seed);
+  return Compare(input, state.get());
+}
+
 void RegisterEvaluator(std::string base, EvaluatorFactory factory) {
   Registry& registry = GlobalRegistry();
   const std::lock_guard<std::mutex> lock(registry.mutex);

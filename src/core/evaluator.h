@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,7 +30,7 @@ namespace mobipriv::core {
 
 /// One grid cell's evaluation input. The views alias storage owned by the
 /// engine (an mmap, an event store or an AoS dataset) and must outlive the
-/// Evaluate call; `frame` is the shared planar projection centred on the
+/// Evaluate or Compare call; `frame` is the shared planar projection centred on the
 /// original dataset, so attack geometry agrees across evaluators.
 struct EvalInput {
   model::DatasetView original;
@@ -111,6 +112,53 @@ class TraceFold {
   }
 };
 
+/// What one evaluator computed from the original dataset alone for one
+/// seed (see Evaluator::PrepareOriginal). Concrete evaluators derive their
+/// own state type.
+class OriginalState {
+ public:
+  virtual ~OriginalState() = default;
+};
+
+/// `state` as the concrete type `State` the preparing evaluator returned.
+/// Throws std::invalid_argument when `state` is null or another
+/// evaluator's.
+template <typename State>
+[[nodiscard]] const State& StateAs(const OriginalState* state) {
+  const auto* typed = dynamic_cast<const State*>(state);
+  if (typed == nullptr) {
+    throw std::invalid_argument("original state of another evaluator");
+  }
+  return *typed;
+}
+
+/// Scores one aspect of an (original, published) pair in two halves, the
+/// way TraceFold splits a streamed evaluation:
+///
+/// - PrepareOriginal(original, frame, seed) does the original-only work
+///   (reference POIs, query workload and its original counts, trip
+///   lengths, ...). It may read only its three arguments and the
+///   evaluator's own configuration, so its result depends on (evaluator,
+///   seed) alone and serves every grid row scored against that original.
+///   The returned state is immutable and shared: the engine hands one
+///   instance to many concurrent Compare calls. (A state may fill a cache
+///   on its first use in Compare, under its own once-only synchronisation,
+///   when the cached value is what every caller would compute.) The
+///   default returns nullptr (no original-side work).
+/// - Compare(input, state) does the rest of the cell's work. `state` is
+///   what this evaluator's PrepareOriginal returned for input.original,
+///   input.frame and input.seed (possibly nullptr).
+/// - Evaluate(input) is Compare(input, PrepareOriginal(...)) in one call:
+///   the form callers scoring a single pair use.
+///
+/// Contract: Compare with a reused state returns metrics bit-identical to
+/// Evaluate, for any published set. Both halves are const, stateless and
+/// deterministic at any thread count (the engine calls one instance from
+/// many DAG workers concurrently).
+///
+/// A downstream evaluator overrides Name and Compare; it overrides
+/// PrepareOriginal too when part of its work reads only the original, and
+/// registers a factory with RegisterEvaluator.
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
@@ -118,11 +166,16 @@ class Evaluator {
   /// Stable identifier, round-trippable through CreateEvaluator.
   [[nodiscard]] virtual std::string Name() const = 0;
 
-  /// Scores the pair. Implementations must be stateless const calls (the
-  /// engine invokes one instance from many DAG workers concurrently) and
-  /// deterministic at any thread count.
-  [[nodiscard]] virtual std::vector<MetricValue> Evaluate(
-      const EvalInput& input) const = 0;
+  [[nodiscard]] virtual std::shared_ptr<const OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const;
+
+  [[nodiscard]] virtual std::vector<MetricValue> Compare(
+      const EvalInput& input, const OriginalState* state) const = 0;
+
+  /// Scores the pair in one call (both halves, nothing shared).
+  [[nodiscard]] std::vector<MetricValue> Evaluate(
+      const EvalInput& input) const;
 
   /// Streaming counterpart of Evaluate for the shard-by-shard engine
   /// path. `seed` is the grid cell's scenario seed (what EvalInput::seed

@@ -117,7 +117,9 @@ std::vector<Point2> ChordResample(const std::vector<Point2>& path,
       const double disc = md * md - dd * c;
       if (disc < 0.0) break;  // numerically inside for the whole segment
       const double t = (-md + std::sqrt(disc)) / dd;
-      if (t > 1.0) break;  // segment ends inside the circle
+      // Segment ends inside the circle. A NaN root (non-finite fixes)
+      // ends the scan too: it would otherwise emit points forever.
+      if (!(t <= 1.0)) break;
       const Point2 crossing = a + d * t;
       out.push_back(crossing);
       anchor = crossing;

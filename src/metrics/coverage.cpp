@@ -10,8 +10,6 @@
 namespace mobipriv::metrics {
 namespace {
 
-using CellSet = std::unordered_set<std::uint64_t>;
-
 std::uint64_t CellKey(geo::Point2 p, double cell) {
   const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell));
   const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell));
@@ -20,11 +18,12 @@ std::uint64_t CellKey(geo::Point2 p, double cell) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
 }
 
+}  // namespace
+
 CellSet VisitedCells(const model::DatasetView& dataset,
-                     const geo::LocalProjection& projection, double cell) {
-  // Trace blocks rasterize to partial sets on the pool; set-union is
-  // order-insensitive, so the merged footprint is exact regardless of
-  // chunking or worker count.
+                     const geo::LocalProjection& projection,
+                     const CoverageConfig& config) {
+  const double cell = config.cell_size_m;
   return util::ParallelReduce<CellSet>(
       dataset.TraceCount(), /*grain=*/16,
       [&](std::size_t begin, std::size_t end) {
@@ -42,7 +41,17 @@ CellSet VisitedCells(const model::DatasetView& dataset,
       });
 }
 
-}  // namespace
+double CellJaccard(const CellSet& a, const CellSet& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  std::size_t intersection = 0;
+  for (const auto key : a) {
+    if (b.contains(key)) ++intersection;
+  }
+  const std::size_t union_size = a.size() + b.size() - intersection;
+  return union_size == 0 ? 1.0
+                         : static_cast<double>(intersection) /
+                               static_cast<double>(union_size);
+}
 
 double CoverageJaccard(const model::DatasetView& a,
                        const model::DatasetView& b,
@@ -51,18 +60,8 @@ double CoverageJaccard(const model::DatasetView& a,
   bbox.Extend(b.BoundingBox());
   if (bbox.IsEmpty()) return 1.0;  // both empty: identical footprints
   const geo::LocalProjection projection(bbox.Center());
-  const CellSet cells_a = VisitedCells(a, projection, config.cell_size_m);
-  const CellSet cells_b = VisitedCells(b, projection, config.cell_size_m);
-  if (cells_a.empty() && cells_b.empty()) return 1.0;
-  std::size_t intersection = 0;
-  for (const auto key : cells_a) {
-    if (cells_b.contains(key)) ++intersection;
-  }
-  const std::size_t union_size =
-      cells_a.size() + cells_b.size() - intersection;
-  return union_size == 0 ? 1.0
-                         : static_cast<double>(intersection) /
-                               static_cast<double>(union_size);
+  return CellJaccard(VisitedCells(a, projection, config),
+                     VisitedCells(b, projection, config));
 }
 
 double CoverageJaccard(const model::Dataset& a, const model::Dataset& b,
@@ -76,7 +75,7 @@ std::size_t CellFootprint(const model::DatasetView& dataset,
   const geo::GeoBoundingBox bbox = dataset.BoundingBox();
   if (bbox.IsEmpty()) return 0;
   const geo::LocalProjection projection(bbox.Center());
-  return VisitedCells(dataset, projection, config.cell_size_m).size();
+  return VisitedCells(dataset, projection, config).size();
 }
 
 std::size_t CellFootprint(const model::Dataset& dataset,

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_set>
 
+#include "geo/projection.h"
 #include "model/dataset.h"
 #include "model/views.h"
 
@@ -28,6 +30,20 @@ struct CoverageConfig {
 [[nodiscard]] double CoverageJaccard(const model::Dataset& a,
                                      const model::Dataset& b,
                                      const CoverageConfig& config = {});
+
+/// Packed grid-cell keys of visited cells.
+using CellSet = std::unordered_set<std::uint64_t>;
+
+/// Cells of `projection`'s plane visited by a dataset's fixes: one side
+/// of CoverageJaccard. Rasterization fans out per trace on the thread
+/// pool; set union is order-free, so the set is exact at any worker count.
+[[nodiscard]] CellSet VisitedCells(const model::DatasetView& dataset,
+                                   const geo::LocalProjection& projection,
+                                   const CoverageConfig& config = {});
+
+/// Jaccard similarity of two visited-cell sets rasterized in one frame
+/// (1 when both are empty).
+[[nodiscard]] double CellJaccard(const CellSet& a, const CellSet& b);
 
 /// Number of distinct cells visited by a dataset (its footprint size).
 [[nodiscard]] std::size_t CellFootprint(const model::DatasetView& dataset,

@@ -1,8 +1,10 @@
 #include "metrics/evaluators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +21,64 @@ namespace {
 // Stream salt separating the range-query workload from every other
 // consumer of the grid cell's seed.
 constexpr std::uint64_t kRangeQuerySalt = 0x5251554552590001ULL;
+
+std::vector<core::MetricValue> RangeErrorMetrics(
+    const RangeQueryReport& report) {
+  return {{"range_err_median", report.relative_error.median},
+          {"range_err_p95", report.relative_error.p95},
+          {"range_err_mean", report.relative_error.mean}};
+}
+
+/// The bounding box both coverage and heatmap rasterize in: the union of
+/// the two datasets' boxes, as CoverageJaccard and HeatmapSimilarity
+/// build it.
+geo::GeoBoundingBox UnionBox(const geo::GeoBoundingBox& original,
+                             const model::DatasetView& published) {
+  geo::GeoBoundingBox bbox = original;
+  bbox.Extend(published.BoundingBox());
+  return bbox;
+}
+
+/// True when a side rasterized in the frame centred on `prepared` is the
+/// one the union frame would build: a non-empty box whose centre has the
+/// same bits as `centre` (NaN centres included, which == would reject).
+bool SameFrame(const geo::GeoBoundingBox& prepared, geo::LatLng centre) {
+  if (prepared.IsEmpty()) return false;
+  const geo::LatLng own = prepared.Center();
+  return std::bit_cast<std::uint64_t>(own.lat) ==
+             std::bit_cast<std::uint64_t>(centre.lat) &&
+         std::bit_cast<std::uint64_t>(own.lng) ==
+             std::bit_cast<std::uint64_t>(centre.lng);
+}
+
+/// coverage and heatmap keep the original's box, and its raster in the
+/// frame centred on that box. The raster is built by the first Compare
+/// whose union box has that centre, never by PrepareOriginal: a cell whose
+/// published fixes leave the box rasterizes in another frame, so an eager
+/// raster would be wasted there and would make Evaluate do the original's
+/// rasterization twice. The once_flag makes the fill safe from concurrent
+/// Compare calls; the raster never changes after it.
+struct CoverageState final : core::OriginalState {
+  geo::GeoBoundingBox bbox;
+  mutable std::once_flag once;
+  mutable CellSet cells;
+};
+
+struct HeatmapState final : core::OriginalState {
+  geo::GeoBoundingBox bbox;
+  mutable std::once_flag once;
+  mutable std::optional<Heatmap> heatmap;
+};
+
+struct RangeQueryState final : core::OriginalState {
+  std::vector<RangeQuery> queries;
+  std::vector<std::size_t> counts;
+};
+
+struct TrajectoryStatsState final : core::OriginalState {
+  std::vector<double> sorted_trips;
+  std::vector<double> gyration;
+};
 
 /// Shard-streamed trajectory_stats. Trip lengths are per-trace, so each
 /// lands in its canonical slot and Finalize replays the whole-view trace
@@ -88,20 +148,9 @@ class TrajectoryStatsFold final : public core::TraceFold {
     const double emd = EarthMoversDistance(trips_orig, trips_pub);
     const util::Summary pub_summary = util::Summary::Of(trips_pub);
 
-    double rel_sum = 0.0;
-    std::size_t rel_n = 0;
-    for (std::size_t u = 0;
-         u < std::min(gyration_original_.size(), gyration_published_.size());
-         ++u) {
-      if (gyration_original_[u] <= 0.0) continue;
-      rel_sum += std::abs(gyration_original_[u] - gyration_published_[u]) /
-                 gyration_original_[u];
-      ++rel_n;
-    }
-    const double rel_err =
-        rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
     return {{"trip_len_emd_m", emd},
-            {"gyration_rel_err", rel_err},
+            {"gyration_rel_err",
+             GyrationRelativeError(gyration_original_, gyration_published_)},
             {"trip_len_pub_mean_m", pub_summary.mean}};
   }
 
@@ -177,18 +226,8 @@ class RangeQueryFold final : public core::TraceFold {
   }
 
   std::vector<core::MetricValue> Finalize() override {
-    std::vector<double> errors(queries_.size());
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      const double denom =
-          std::max<double>(1.0, static_cast<double>(count_original_[q]));
-      errors[q] = std::abs(static_cast<double>(count_original_[q]) -
-                           static_cast<double>(count_published_[q])) /
-                  denom;
-    }
-    const util::Summary summary = util::Summary::Of(errors);
-    return {{"range_err_median", summary.median},
-            {"range_err_p95", summary.p95},
-            {"range_err_mean", summary.mean}};
+    return RangeErrorMetrics(
+        RangeQueryErrorOf(count_original_, count_published_));
   }
 
  private:
@@ -217,8 +256,8 @@ std::string SpatialDistortionEvaluator::Name() const {
   return "spatial_distortion";
 }
 
-std::vector<core::MetricValue> SpatialDistortionEvaluator::Evaluate(
-    const core::EvalInput& input) const {
+std::vector<core::MetricValue> SpatialDistortionEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* /*state*/) const {
   const DistortionSummary summary =
       MeasureDistortion(input.original, input.published);
   return {{"path_mean_m", summary.path_m.mean},
@@ -235,10 +274,32 @@ std::string CoverageEvaluator::Name() const {
   return "coverage[cell=" + util::FormatDouble(config_.cell_size_m, 0) + "m]";
 }
 
-std::vector<core::MetricValue> CoverageEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  return {{"coverage_jaccard",
-           CoverageJaccard(input.original, input.published, config_)}};
+std::shared_ptr<const core::OriginalState> CoverageEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& /*frame*/,
+    std::uint64_t /*seed*/) const {
+  auto state = std::make_shared<CoverageState>();
+  state->bbox = original.BoundingBox();
+  return state;
+}
+
+std::vector<core::MetricValue> CoverageEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  // CoverageJaccard, with the original's cells shared through the state
+  // when they are rasterized in the original box's own frame.
+  const auto& prepared = core::StateAs<CoverageState>(state);
+  const geo::GeoBoundingBox bbox = UnionBox(prepared.bbox, input.published);
+  if (bbox.IsEmpty()) return {{"coverage_jaccard", 1.0}};
+  const geo::LocalProjection projection(bbox.Center());
+  const CellSet published = VisitedCells(input.published, projection, config_);
+  if (!SameFrame(prepared.bbox, bbox.Center())) {
+    return {{"coverage_jaccard",
+             CellJaccard(VisitedCells(input.original, projection, config_),
+                         published)}};
+  }
+  std::call_once(prepared.once, [&] {
+    prepared.cells = VisitedCells(input.original, projection, config_);
+  });
+  return {{"coverage_jaccard", CellJaccard(prepared.cells, published)}};
 }
 
 HeatmapEvaluator::HeatmapEvaluator(HeatmapConfig config) : config_(config) {}
@@ -247,10 +308,32 @@ std::string HeatmapEvaluator::Name() const {
   return "heatmap[cell=" + util::FormatDouble(config_.cell_size_m, 0) + "m]";
 }
 
-std::vector<core::MetricValue> HeatmapEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  return {{"heatmap_cosine",
-           HeatmapSimilarity(input.original, input.published, config_)}};
+std::shared_ptr<const core::OriginalState> HeatmapEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& /*frame*/,
+    std::uint64_t /*seed*/) const {
+  auto state = std::make_shared<HeatmapState>();
+  state->bbox = original.BoundingBox();
+  return state;
+}
+
+std::vector<core::MetricValue> HeatmapEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  // HeatmapSimilarity, with the original's heatmap shared through the
+  // state when it is rasterized in the original box's own frame.
+  const auto& prepared = core::StateAs<HeatmapState>(state);
+  const geo::GeoBoundingBox bbox = UnionBox(prepared.bbox, input.published);
+  if (bbox.IsEmpty()) return {{"heatmap_cosine", 1.0}};
+  const geo::LocalProjection projection(bbox.Center());
+  const Heatmap published(input.published, projection, config_);
+  if (!SameFrame(prepared.bbox, bbox.Center())) {
+    return {{"heatmap_cosine",
+             Heatmap::Cosine(Heatmap(input.original, projection, config_),
+                             published)}};
+  }
+  std::call_once(prepared.once, [&] {
+    prepared.heatmap.emplace(input.original, projection, config_);
+  });
+  return {{"heatmap_cosine", Heatmap::Cosine(*prepared.heatmap, published)}};
 }
 
 RangeQueryEvaluator::RangeQueryEvaluator(RangeQueryConfig config)
@@ -260,16 +343,22 @@ std::string RangeQueryEvaluator::Name() const {
   return "range_queries[n=" + std::to_string(config_.query_count) + "]";
 }
 
-std::vector<core::MetricValue> RangeQueryEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  util::Rng rng(util::DeriveStreamSeed(input.seed, kRangeQuerySalt, 0));
-  const std::vector<RangeQuery> queries =
-      SampleQueries(input.original, config_, rng);
-  const RangeQueryReport report =
-      MeasureRangeQueryError(input.original, input.published, queries);
-  return {{"range_err_median", report.relative_error.median},
-          {"range_err_p95", report.relative_error.p95},
-          {"range_err_mean", report.relative_error.mean}};
+std::shared_ptr<const core::OriginalState>
+RangeQueryEvaluator::PrepareOriginal(const model::DatasetView& original,
+                                     const geo::LocalProjection& /*frame*/,
+                                     std::uint64_t seed) const {
+  auto state = std::make_shared<RangeQueryState>();
+  util::Rng rng(util::DeriveStreamSeed(seed, kRangeQuerySalt, 0));
+  state->queries = SampleQueries(original, config_, rng);
+  state->counts = RangeCounts(original, state->queries);
+  return state;
+}
+
+std::vector<core::MetricValue> RangeQueryEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  const auto& prepared = core::StateAs<RangeQueryState>(state);
+  return RangeErrorMetrics(RangeQueryErrorOf(
+      prepared.counts, RangeCounts(input.published, prepared.queries)));
 }
 
 std::unique_ptr<core::TraceFold> RangeQueryEvaluator::MakeTraceFold(
@@ -281,13 +370,31 @@ std::string TrajectoryStatsEvaluator::Name() const {
   return "trajectory_stats";
 }
 
-std::vector<core::MetricValue> TrajectoryStatsEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  const TrajectoryStatsReport report =
-      CompareTrajectoryStats(input.original, input.published);
-  return {{"trip_len_emd_m", report.trip_length_emd},
-          {"gyration_rel_err", report.gyration_relative_error},
-          {"trip_len_pub_mean_m", report.trip_length_published.mean}};
+std::shared_ptr<const core::OriginalState>
+TrajectoryStatsEvaluator::PrepareOriginal(
+    const model::DatasetView& original, const geo::LocalProjection& /*frame*/,
+    std::uint64_t /*seed*/) const {
+  auto state = std::make_shared<TrajectoryStatsState>();
+  state->sorted_trips = TripLengths(original);
+  std::sort(state->sorted_trips.begin(), state->sorted_trips.end());
+  state->gyration = AllRadiiOfGyration(original);
+  return state;
+}
+
+std::vector<core::MetricValue> TrajectoryStatsEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  // The three numbers CompareTrajectoryStats reports, its original side
+  // taken from the state.
+  const auto& prepared = core::StateAs<TrajectoryStatsState>(state);
+  std::vector<double> trips_pub = TripLengths(input.published);
+  const util::Summary pub_summary = util::Summary::Of(trips_pub);
+  std::sort(trips_pub.begin(), trips_pub.end());
+  return {{"trip_len_emd_m",
+           EarthMoversDistanceSorted(prepared.sorted_trips, trips_pub)},
+          {"gyration_rel_err",
+           GyrationRelativeError(prepared.gyration,
+                                 AllRadiiOfGyration(input.published))},
+          {"trip_len_pub_mean_m", pub_summary.mean}};
 }
 
 std::unique_ptr<core::TraceFold> TrajectoryStatsEvaluator::MakeTraceFold(
@@ -311,8 +418,8 @@ std::string KDeltaEvaluator::Name() const {
   return name + "]";
 }
 
-std::vector<core::MetricValue> KDeltaEvaluator::Evaluate(
-    const core::EvalInput& input) const {
+std::vector<core::MetricValue> KDeltaEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* /*state*/) const {
   const KDeltaReport report =
       MeasureKDeltaAnonymity(input.published, config_);
   return {{"kdelta_mean_k", report.k_distribution.mean},

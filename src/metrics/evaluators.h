@@ -17,8 +17,9 @@ namespace mobipriv::metrics {
 class SpatialDistortionEvaluator final : public core::Evaluator {
  public:
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 };
 
 /// "coverage[cell=...m]": Jaccard similarity of visited grid cells.
@@ -26,8 +27,16 @@ class CoverageEvaluator final : public core::Evaluator {
  public:
   explicit CoverageEvaluator(CoverageConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the original's bounding box, and its visited cells in the frame
+  /// centred on that box once a Compare has built them. Compare shares
+  /// them whenever the union box has the same centre, bit for bit, and
+  /// rasterizes the original afresh otherwise.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   CoverageConfig config_;
@@ -38,8 +47,14 @@ class HeatmapEvaluator final : public core::Evaluator {
  public:
   explicit HeatmapEvaluator(HeatmapConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the original's bounding box and its heatmap in the frame centred
+  /// on that box, built and shared exactly like CoverageEvaluator's cells.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   HeatmapConfig config_;
@@ -52,8 +67,13 @@ class RangeQueryEvaluator final : public core::Evaluator {
  public:
   explicit RangeQueryEvaluator(RangeQueryConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the sampled workload and its per-query original counts.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
   /// Foldable: the workload samples from the folded full-dataset extents
   /// (SampleQueriesFromExtent) and per-query counts are exact integer sums
   /// over shards.
@@ -68,8 +88,13 @@ class RangeQueryEvaluator final : public core::Evaluator {
 class TrajectoryStatsEvaluator final : public core::Evaluator {
  public:
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the original's sorted trip lengths and per-user gyration radii.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
   /// Foldable: trip lengths land in canonical slots and each user's
   /// gyration computes whole inside their home shard.
   [[nodiscard]] std::unique_ptr<core::TraceFold> MakeTraceFold(
@@ -82,8 +107,9 @@ class KDeltaEvaluator final : public core::Evaluator {
  public:
   explicit KDeltaEvaluator(KDeltaConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   KDeltaConfig config_;

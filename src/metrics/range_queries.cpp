@@ -161,42 +161,48 @@ std::string RangeQueryReport::ToString() const {
   return os.str();
 }
 
-RangeQueryReport MeasureRangeQueryError(
-    const model::DatasetView& original, const model::DatasetView& published,
-    const std::vector<RangeQuery>& queries) {
+std::vector<std::size_t> RangeCounts(const model::DatasetView& dataset,
+                                     std::span<const RangeQuery> queries) {
   // Traces fan out into chunk-local counts merged under a lock; integer
-  // sums are order-free, so the report is byte-identical at any worker
-  // count.
-  const auto count_per_query = [&](const model::DatasetView& dataset) {
-    std::vector<std::size_t> counts(queries.size(), 0);
-    std::mutex mutex;
-    util::ParallelFor(dataset.TraceCount(), [&](std::size_t begin,
-                                                std::size_t end) {
-      std::vector<std::size_t> local(queries.size(), 0);
-      for (std::size_t t = begin; t < end; ++t) {
-        AccumulateRangeCounts(dataset.trace(t), queries, local);
-      }
-      const std::lock_guard<std::mutex> lock(mutex);
-      for (std::size_t q = 0; q < queries.size(); ++q) counts[q] += local[q];
-    });
-    return counts;
-  };
-  const std::vector<std::size_t> count_orig = count_per_query(original);
-  const std::vector<std::size_t> count_pub = count_per_query(published);
+  // sums are order-free.
+  std::vector<std::size_t> counts(queries.size(), 0);
+  std::mutex mutex;
+  util::ParallelFor(dataset.TraceCount(), [&](std::size_t begin,
+                                              std::size_t end) {
+    std::vector<std::size_t> local(queries.size(), 0);
+    for (std::size_t t = begin; t < end; ++t) {
+      AccumulateRangeCounts(dataset.trace(t), queries, local);
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (std::size_t q = 0; q < queries.size(); ++q) counts[q] += local[q];
+  });
+  return counts;
+}
 
+RangeQueryReport RangeQueryErrorOf(
+    std::span<const std::size_t> original_counts,
+    std::span<const std::size_t> published_counts) {
+  assert(original_counts.size() == published_counts.size());
   RangeQueryReport report;
-  report.queries = queries.size();
-  std::vector<double> errors(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    if (count_orig[q] == 0) ++report.empty_on_original;
+  report.queries = original_counts.size();
+  std::vector<double> errors(original_counts.size());
+  for (std::size_t q = 0; q < original_counts.size(); ++q) {
+    if (original_counts[q] == 0) ++report.empty_on_original;
     const double denom =
-        std::max<double>(1.0, static_cast<double>(count_orig[q]));
-    errors[q] = std::abs(static_cast<double>(count_orig[q]) -
-                         static_cast<double>(count_pub[q])) /
+        std::max<double>(1.0, static_cast<double>(original_counts[q]));
+    errors[q] = std::abs(static_cast<double>(original_counts[q]) -
+                         static_cast<double>(published_counts[q])) /
                 denom;
   }
   report.relative_error = util::Summary::Of(errors);
   return report;
+}
+
+RangeQueryReport MeasureRangeQueryError(
+    const model::DatasetView& original, const model::DatasetView& published,
+    const std::vector<RangeQuery>& queries) {
+  return RangeQueryErrorOf(RangeCounts(original, queries),
+                           RangeCounts(published, queries));
 }
 
 RangeQueryReport MeasureRangeQueryError(

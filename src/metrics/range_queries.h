@@ -83,11 +83,22 @@ struct RangeQueryReport {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Runs the workload on both datasets and reports the error distribution.
-/// Traces fan out on the thread pool through AccumulateRangeCounts; the
-/// per-query counts are integer sums, so the report is byte-identical at
-/// any worker count. The view form is the
-/// implementation; the Dataset form adapts zero-copy.
+/// Per-query event counts of a dataset (closed bounds). Traces fan out on
+/// the thread pool through AccumulateRangeCounts; the counts are integer
+/// sums, so they are exact at any worker count.
+[[nodiscard]] std::vector<std::size_t> RangeCounts(
+    const model::DatasetView& dataset, std::span<const RangeQuery> queries);
+
+/// The error distribution of one workload from its per-query counts on the
+/// original and the published dataset (parallel vectors).
+[[nodiscard]] RangeQueryReport RangeQueryErrorOf(
+    std::span<const std::size_t> original_counts,
+    std::span<const std::size_t> published_counts);
+
+/// Runs the workload on both datasets and reports the error distribution:
+/// RangeQueryErrorOf over each side's RangeCounts, byte-identical at any
+/// worker count. The view form is the implementation; the Dataset form
+/// adapts zero-copy.
 [[nodiscard]] RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,
     const std::vector<RangeQuery>& queries);

@@ -129,12 +129,17 @@ std::vector<double> AllRadiiOfGyration(const model::Dataset& dataset) {
 }
 
 double EarthMoversDistance(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return EarthMoversDistanceSorted(a, b);
+}
+
+double EarthMoversDistanceSorted(std::span<const double> a,
+                                 std::span<const double> b) {
   if (a.empty() && b.empty()) return 0.0;
   if (a.empty() || b.empty()) {
     return std::numeric_limits<double>::infinity();
   }
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
   // W1 between empirical CDFs: integrate |F_a^{-1}(q) - F_b^{-1}(q)| dq on
   // a common quantile grid fine enough for both sample sizes.
   const std::size_t grid = std::max(a.size(), b.size()) * 2;
@@ -146,6 +151,19 @@ double EarthMoversDistance(std::vector<double> a, std::vector<double> b) {
                       util::PercentileSorted(b, q));
   }
   return total / static_cast<double>(grid);
+}
+
+double GyrationRelativeError(std::span<const double> original,
+                             std::span<const double> published) {
+  double rel_sum = 0.0;
+  std::size_t rel_n = 0;
+  for (std::size_t u = 0; u < std::min(original.size(), published.size());
+       ++u) {
+    if (original[u] <= 0.0) continue;
+    rel_sum += std::abs(original[u] - published[u]) / original[u];
+    ++rel_n;
+  }
+  return rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
 }
 
 std::string TrajectoryStatsReport::ToString() const {
@@ -173,16 +191,7 @@ TrajectoryStatsReport CompareTrajectoryStats(
   const auto gyr_pub = AllRadiiOfGyration(published);
   report.gyration_original = util::Summary::Of(gyr_orig);
   report.gyration_published = util::Summary::Of(gyr_pub);
-  double rel_sum = 0.0;
-  std::size_t rel_n = 0;
-  for (std::size_t u = 0; u < std::min(gyr_orig.size(), gyr_pub.size());
-       ++u) {
-    if (gyr_orig[u] <= 0.0) continue;
-    rel_sum += std::abs(gyr_orig[u] - gyr_pub[u]) / gyr_orig[u];
-    ++rel_n;
-  }
-  report.gyration_relative_error =
-      rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
+  report.gyration_relative_error = GyrationRelativeError(gyr_orig, gyr_pub);
   return report;
 }
 

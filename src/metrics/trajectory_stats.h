@@ -53,6 +53,16 @@ namespace mobipriv::metrics {
 /// Empty inputs: 0 if both empty, infinity otherwise.
 [[nodiscard]] double EarthMoversDistance(std::vector<double> a,
                                          std::vector<double> b);
+/// EarthMoversDistance of two samples already sorted ascending: what it
+/// computes after its sorts, so a caller scoring many samples against one
+/// fixed side sorts that side once.
+[[nodiscard]] double EarthMoversDistanceSorted(std::span<const double> a,
+                                               std::span<const double> b);
+
+/// Mean relative error of per-user radii of gyration matched by user id,
+/// over the users whose original radius is positive (0 when none).
+[[nodiscard]] double GyrationRelativeError(std::span<const double> original,
+                                           std::span<const double> published);
 
 struct TrajectoryStatsReport {
   util::Summary trip_length_original;

@@ -16,6 +16,11 @@ double TotalBits(const mech::MixZoneReport& report) {
   return bits;
 }
 
+struct UncertaintyState final : core::OriginalState {
+  double potential_bits = 0.0;
+  std::size_t potential_occurrences = 0;
+};
+
 }  // namespace
 
 CertificationEvaluator::CertificationEvaluator(CertificationConfig config)
@@ -39,8 +44,8 @@ std::string CertificationEvaluator::Name() const {
   return "certification[" + params.substr(1) + "]";
 }
 
-std::vector<core::MetricValue> CertificationEvaluator::Evaluate(
-    const core::EvalInput& input) const {
+std::vector<core::MetricValue> CertificationEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* /*state*/) const {
   // The certifier's kernels consume an AoS dataset; materializing the
   // published view is the documented adapter cost of this evaluator (keep
   // it out of grids that pin zero-materialize counters).
@@ -77,28 +82,40 @@ std::string UncertaintyEvaluator::Name() const {
   return "uncertainty[" + params.substr(1) + "]";
 }
 
-std::vector<core::MetricValue> UncertaintyEvaluator::Evaluate(
-    const core::EvalInput& input) const {
-  const mech::MixZone detector(config_);
-  // The detection pass is deterministic; the rng only feeds the identity
-  // permutations of the (discarded) mixed output, so any stream works —
-  // derive one from the cell seed and this evaluator's name to keep the
-  // call reproducible and independent of sibling evaluators.
+// The detection pass is deterministic; the rng only feeds the identity
+// permutations of the (discarded) mixed output, so any stream works —
+// each side derives one from the cell seed and this evaluator's name (lane
+// 0 original, lane 1 published) to keep the call reproducible and
+// independent of sibling evaluators.
+std::shared_ptr<const core::OriginalState>
+UncertaintyEvaluator::PrepareOriginal(const model::DatasetView& original,
+                                      const geo::LocalProjection& /*frame*/,
+                                      std::uint64_t seed) const {
   const std::string name = Name();
-  const std::uint64_t name_hash = model::Fnv1a64(name.data(), name.size());
-
   mech::MixZoneReport potential;
-  util::Rng original_rng(util::DeriveStreamSeed(input.seed, name_hash, 0));
-  (void)detector.ApplyToStoreWithReport(input.original, original_rng,
-                                        potential);
+  util::Rng rng(util::DeriveStreamSeed(
+      seed, model::Fnv1a64(name.data(), name.size()), 0));
+  (void)mech::MixZone(config_).ApplyToStoreWithReport(original, rng,
+                                                      potential);
+  auto state = std::make_shared<UncertaintyState>();
+  state->potential_bits = TotalBits(potential);
+  state->potential_occurrences = potential.occurrences;
+  return state;
+}
+
+std::vector<core::MetricValue> UncertaintyEvaluator::Compare(
+    const core::EvalInput& input, const core::OriginalState* state) const {
+  const auto& prepared = core::StateAs<UncertaintyState>(state);
+  const std::string name = Name();
   mech::MixZoneReport residual;
-  util::Rng published_rng(util::DeriveStreamSeed(input.seed, name_hash, 1));
-  (void)detector.ApplyToStoreWithReport(input.published, published_rng,
-                                        residual);
+  util::Rng rng(util::DeriveStreamSeed(
+      input.seed, model::Fnv1a64(name.data(), name.size()), 1));
+  (void)mech::MixZone(config_).ApplyToStoreWithReport(input.published, rng,
+                                                      residual);
   return {
-      {"mix_potential_bits", TotalBits(potential)},
+      {"mix_potential_bits", prepared.potential_bits},
       {"mix_potential_occurrences",
-       static_cast<double>(potential.occurrences)},
+       static_cast<double>(prepared.potential_occurrences)},
       {"mix_residual_bits", TotalBits(residual)},
       {"mix_residual_occurrences",
        static_cast<double>(residual.occurrences)},

@@ -27,8 +27,9 @@ class CertificationEvaluator final : public core::Evaluator {
   /// "certification[spacing=...,interval=...s,min_events=...]" with only
   /// non-default knobs printed (bare "certification" at defaults).
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   CertificationConfig config_;
@@ -50,8 +51,14 @@ class UncertaintyEvaluator final : public core::Evaluator {
   /// "uncertainty[r=...m,w=...s,min_users=...]" with only non-default
   /// knobs printed (bare "uncertainty" at defaults).
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
-      const core::EvalInput& input) const override;
+  /// Keeps the potential: the original's detection report, reduced to its
+  /// entropy and occurrence count.
+  [[nodiscard]] std::shared_ptr<const core::OriginalState> PrepareOriginal(
+      const model::DatasetView& original, const geo::LocalProjection& frame,
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Compare(
+      const core::EvalInput& input,
+      const core::OriginalState* state) const override;
 
  private:
   mech::MixZoneConfig config_;

@@ -112,6 +112,20 @@ TEST(ChordResample, DegenerateInputs) {
   EXPECT_EQ(zero.size(), 1u);
 }
 
+TEST(ChordResample, NonFiniteFixesTerminate) {
+  // A NaN or infinite fix makes every crossing root NaN; the scan must
+  // stop on the segment instead of emitting points until memory runs out.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const Point2 bad : {Point2{nan, 0.0}, Point2{inf, 0.0}}) {
+    const std::vector<Point2> path{{0.0, 0.0}, {100.0, 0.0}, bad,
+                                   {200.0, 0.0}};
+    const auto out = ChordResample(path, 30.0);
+    EXPECT_LE(out.size(), 16u);
+    EXPECT_EQ(out.front(), (Point2{0.0, 0.0}));
+  }
+}
+
 TEST(ChordResample, SpacingLargerThanPath) {
   const auto out = ChordResample(LShape(), 1000.0);
   // Anchor never gets 1000 m away: only first + last survive.

@@ -263,6 +263,45 @@ TEST(ScenarioEngine, InstantiatesFromOriginalSpecTextNotLossyName) {
   }
 }
 
+TEST(ScenarioEngine, PreparesEachOriginalOncePerEvaluatorAndSeed) {
+  // Two suffix rows over a shared speed_smoothing|mixzone prefix: 2 rows
+  // x 2 seeds x 3 evaluators = 12 cells, but only 3 x 2 original halves.
+  // spatial_distortion keeps no original state; its slot still counts.
+  core::ScenarioSpec spec = BaseSpec();
+  spec.mechanisms = {"speed_smoothing|mixzone|cloaking",
+                     "speed_smoothing|mixzone|gaussian"};
+  spec.evaluators = {"coverage", "poi_attack", "spatial_distortion"};
+  spec.seeds = {1, 2};
+  std::string reference;
+  for (const std::size_t threads : {1u, 4u}) {
+    spec.threads = threads;
+    core::ScenarioEngine engine(spec);
+    const std::string csv = engine.Run().ToCsv();
+    EXPECT_EQ(engine.stats().evaluator_nodes, 12u);
+    EXPECT_EQ(engine.stats().original_preparations, 6u) << threads;
+    EXPECT_NE(engine.stats().ToString().find("original_preparations=6"),
+              std::string::npos);
+    if (reference.empty()) reference = csv;
+    EXPECT_EQ(csv, reference) << threads;
+  }
+}
+
+TEST(ScenarioEngine, StreamedPathPreparesEachOriginalOnce) {
+  const fs::path dir = fs::temp_directory_path() / "mobipriv_engine_prep";
+  fs::remove_all(dir);
+  model::ShardedDataset::Partition(World(), 4).SaveShards(dir.string());
+  core::ScenarioSpec spec = BaseSpec();
+  spec.source = core::DatasetSourceSpec::ShardDir(dir.string());
+  spec.mechanisms = {"cloaking", "gaussian"};
+  spec.evaluators = {"trajectory_stats", "range_queries[n=20]"};
+  spec.seeds = {1, 2};
+  core::ScenarioEngine engine(spec);
+  (void)engine.Run();
+  EXPECT_EQ(engine.stats().streamed_shards, 4u);
+  EXPECT_EQ(engine.stats().original_preparations, 4u);
+  fs::remove_all(dir);
+}
+
 TEST(ScenarioEngine, RunTwiceThrows) {
   core::ScenarioEngine engine(BaseSpec());
   (void)engine.Run();
