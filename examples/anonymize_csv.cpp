@@ -38,7 +38,6 @@
 
 #include "core/engine.h"
 #include "mechanisms/registry.h"
-#include "model/columnar_file.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
 #include "model/stats.h"
@@ -188,8 +187,7 @@ int main(int argc, char** argv) {
       std::cerr << "--shards must be >= 0 (got " << shards_arg << ")\n";
       return 1;
     }
-    util::Rng rng(util::DeriveStreamSeed(
-        run.seed, model::Fnv1a64(name.data(), name.size()), 0));
+    util::Rng rng = core::StageRng(run.seed, name);
     const model::Dataset published = mechanism->ApplyView(source.view(), rng);
     std::cout << "\n" << name << ": published " << published.TraceCount()
               << " traces, " << published.EventCount() << " events\n";

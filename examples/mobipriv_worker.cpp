@@ -5,12 +5,10 @@
 // core/worker_protocol.h.
 //
 // Per 'A' request the worker applies one per-trace mechanism stage to
-// its owned shards of a shard directory, publishing one `.mpc` result
-// file per shard through the atomic WriteColumnar path (a SIGKILL
-// mid-write never leaves a torn file under the final name). Trace RNG
-// streams are keyed by (stage master draw, GLOBAL user id, original
-// dataset index), so the supervisor's merged report is byte-identical
-// to the in-process run regardless of how shards were partitioned.
+// its owned shards of a shard directory with core::ApplyStageToShard,
+// the routine the engine's in-process placement runs too, and publishes
+// one `.mpc` result file per shard through the atomic WriteColumnar path
+// (a SIGKILL mid-write never leaves a torn file under the final name).
 //
 // The worker heartbeats on the reply pipe while applying; a worker
 // whose supervisor died sees the heartbeat write fail (SIGPIPE is
@@ -44,7 +42,6 @@
 #include "model/sharded_dataset.h"
 #include "util/cli.h"
 #include "util/fault.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -95,15 +92,11 @@ void ProcessRequest(const wp::WorkerRequest& request) {
   // The exact master draw the engine's ApplyToStore would make for this
   // stage — per-trace streams then depend only on (master, global user,
   // original index), never on the shard partition.
-  util::Rng rng(util::DeriveStreamSeed(
-      request.seed,
-      model::Fnv1a64(request.prefix_name.data(), request.prefix_name.size()),
-      0));
-  const std::uint64_t master = rng.NextU64();
+  const std::uint64_t master =
+      core::StageRng(request.seed, request.prefix_name).NextU64();
 
   const std::string key =
       request.prefix_name + "#" + std::to_string(request.attempt);
-  model::TraceBuffer buffer;
   for (const std::size_t shard : request.shards) {
     if (shard >= plan.shard_count) {
       throw std::runtime_error("shard index out of range: " +
@@ -115,39 +108,17 @@ void ProcessRequest(const wp::WorkerRequest& request) {
           "): " + key);
     }
     Heartbeat();
-    const model::MappedColumnar mapped =
-        model::MapColumnar(model::ShardDataPath(plan.dir, shard));
-    const std::vector<model::UserId>& l2g = plan.local_to_global[shard];
-    if (mapped.TraceCount() != plan.origin[shard].size()) {
-      throw model::IoError("shard trace count does not match manifest: " +
-                           model::ShardDataPath(plan.dir, shard));
-    }
-    buffer.Clear();
-    std::vector<model::EventStore::TraceRange> traces(mapped.TraceCount());
-    for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-      const std::size_t begin = buffer.size();
-      kernel->ApplyToIndexedTrace(
-          mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]), master,
-          plan.origin[shard][i], buffer);
-      // Result traces keep SHARD-LOCAL user ids and the shard's name
-      // table; the supervisor re-labels views into the global id space
-      // exactly like it does for the original shards.
-      traces[i] = {mapped.TraceUser(i), begin, buffer.size()};
-      if ((i & 63u) == 63u) Heartbeat();
-    }
+    const model::EventStore result = core::ApplyStageToShard(
+        *kernel, master, plan, shard,
+        model::MapColumnar(model::ShardDataPath(plan.dir, shard)),
+        [](std::size_t i) {
+          if ((i & 63u) == 63u) Heartbeat();
+        });
     if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kWorkerResultWrite, key)) {
       throw model::IoError(
           "injected fault (" +
           std::string(fault::points::kWorkerResultWrite) + "): " + key);
     }
-    const std::span<const std::string> names = mapped.names();
-    const model::EventStore result = model::EventStore::FromColumns(
-        std::vector<std::string>(names.begin(), names.end()),
-        std::move(traces),
-        std::vector<double>(buffer.lat().begin(), buffer.lat().end()),
-        std::vector<double>(buffer.lng().begin(), buffer.lng().end()),
-        std::vector<mobipriv::util::Timestamp>(buffer.time().begin(),
-                                               buffer.time().end()));
     model::WriteColumnar(
         result, wp::StageShardPath(request.out_dir, request.stem, shard));
     Heartbeat();

@@ -191,20 +191,7 @@ std::vector<NodeResult> ExecuteDag(std::vector<DagNode>& nodes,
   return results;
 }
 
-/// Shard `s`'s original traces, user ids re-labelled into the global
-/// dense id space the folds and the whole view use.
-std::vector<model::TraceView> GlobalViews(const ShardStreamPlan& plan,
-                                          std::size_t s,
-                                          const model::MappedColumnar& mapped) {
-  const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-  std::vector<model::TraceView> views(mapped.TraceCount());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    views[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-  }
-  return views;
-}
-
-/// Full-dataset extents every ShardSlice carries, folded by a streamed
+/// Full-dataset extents every ShardSlice carries, folded by the streamed
 /// executor's pass 0: the original box and time span, and one published
 /// box per stage node.
 struct StreamExtents {
@@ -225,7 +212,7 @@ struct StreamExtents {
   util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
 };
 
-/// The fold merge both streamed executors end with. Grid cells are the
+/// The streamed executor's fold merge. Grid cells are the
 /// DAG's evaluator nodes: slot = group * evaluators + e, where group =
 /// row * seeds + seed index and `group_terminal[group]` is that row's
 /// stage node for that seed; their verdicts live in `node_results` after
@@ -374,6 +361,141 @@ class FoldMerge {
   double ms_ = 0.0;
 };
 
+constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+
+/// One memoized stage node: a distinct (prefix canonical name, seed)
+/// pair. The instance is built from the stage's ORIGINAL spec text,
+/// never from the canonical name — Name() prints numbers at fixed
+/// precision, so re-parsing it could silently change parameters (e.g.
+/// eps=0.00004 -> "eps=0.0000" -> 0.0). One instance per node because
+/// some baselines keep mutable per-Apply scratch (e.g. Wait4Me's
+/// suppression ratio) that must not be shared between
+/// concurrently-running nodes.
+struct StagePlan {
+  std::string prefix_name;  ///< stage names [0..k] joined with '|'
+  std::string spec_text;    ///< original stage spec text (worker dispatch)
+  std::size_t parent = kNoParent;  ///< previous stage's node, if any
+  std::size_t seed_index = 0;
+  std::unique_ptr<mech::Mechanism> instance;
+};
+
+// The streamed executor's two stage placements: where its stage outputs
+// come from, the one thing they do differently. For shard `s`, Produce
+// fills `published[n]` with stage n's global-id views of the shard for
+// every stage whose verdict is still ok; a stage that cannot produce them
+// gets a kFailed verdict instead. The storage behind the views lives in
+// the placement until the next call.
+
+/// In-process placement: runs each surviving stage's kernel over the
+/// shard. A throwing stage fails only its own node, with the exception
+/// text.
+class InProcessStages {
+ public:
+  InProcessStages(const std::vector<StagePlan>& stages,
+                  const std::vector<std::uint64_t>& seeds,
+                  const ShardStreamPlan& plan)
+      : stages_(stages), plan_(plan), outputs_(stages.size()) {
+    // The one draw ApplyToStore takes from each stage stream, so every
+    // per-trace rng matches the DAG's bit for bit.
+    for (const StagePlan& stage : stages) {
+      masters_.push_back(
+          StageRng(seeds[stage.seed_index], stage.prefix_name).NextU64());
+    }
+  }
+
+  void Produce(
+      std::size_t s, const model::MappedColumnar& shard,
+      std::vector<NodeResult>& verdicts,
+      std::vector<std::vector<model::TraceView>>& published) {
+    for (std::size_t n = 0; n < stages_.size(); ++n) {
+      outputs_[n] = model::EventStore();  // shard s-1's output goes first
+      if (verdicts[n].status != NodeStatus::kOk) continue;
+      RunContained(verdicts[n], [&] {
+        outputs_[n] = ApplyStageToShard(
+            static_cast<const mech::PerTraceMechanism&>(*stages_[n].instance),
+            masters_[n], plan_, s, shard);
+        published[n] = GlobalViews(plan_, s, outputs_[n].View());
+      });
+    }
+  }
+
+ private:
+  const std::vector<StagePlan>& stages_;
+  const ShardStreamPlan& plan_;
+  std::vector<std::uint64_t> masters_;
+  std::vector<model::EventStore> outputs_;
+};
+
+/// Worker placement: the constructor runs every surviving stage over
+/// every shard in supervised worker processes (core/shard_exec.h), which
+/// write one `.mpc` per (stage, shard) into a scratch dir; Produce maps
+/// shard s's result files. Result loss after supervision is not
+/// retryable any more, so the stage degrades with a deterministic
+/// (basename-only) error.
+class WorkerStages {
+ public:
+  WorkerStages(const std::vector<StagePlan>& stages,
+               const std::vector<std::uint64_t>& seeds,
+               const ShardStreamPlan& plan, const ShardExecOptions& options,
+               std::vector<NodeResult>& verdicts, ShardExecStats& stats)
+      : plan_(plan), results_(stages.size()) {
+    std::vector<ShardStageTask> tasks;
+    std::vector<std::size_t> task_stage;
+    for (std::size_t n = 0; n < stages.size(); ++n) {
+      if (verdicts[n].status != NodeStatus::kOk) continue;
+      tasks.push_back({stages[n].spec_text, stages[n].prefix_name, Stem(n),
+                       seeds[stages[n].seed_index]});
+      task_stage.push_back(n);
+    }
+    const std::vector<ShardStageOutcome> outcomes =
+        RunShardStagesMultiProcess(plan, tasks, scratch_.path, options,
+                                   &stats);
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (!outcomes[t].ok) {
+        verdicts[task_stage[t]] = {NodeStatus::kFailed, outcomes[t].error};
+      }
+    }
+  }
+
+  void Produce(
+      std::size_t s, const model::MappedColumnar& /*shard*/,
+      std::vector<NodeResult>& verdicts,
+      std::vector<std::vector<model::TraceView>>& published) {
+    for (std::size_t n = 0; n < results_.size(); ++n) {
+      if (verdicts[n].status != NodeStatus::kOk) continue;
+      const std::string path = wp::StageShardPath(scratch_.path, Stem(n), s);
+      try {
+        results_[n] = model::MapColumnar(path);
+        published[n] = GlobalViews(plan_, s, results_[n].View());
+      } catch (const std::exception&) {
+        verdicts[n] = {NodeStatus::kFailed,
+                       "result missing or torn after supervision: " +
+                           std::filesystem::path(path).filename().string()};
+      }
+    }
+  }
+
+ private:
+  static std::string Stem(std::size_t n) {
+    return "stage-" + std::to_string(n);
+  }
+
+  const ShardStreamPlan& plan_;
+  /// Result handoff directory, removed wholesale with the placement
+  /// (including any torn temp a killed worker left behind).
+  struct ScratchDir {
+    ScratchDir() = default;
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
+    ~ScratchDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+    std::string path = MakeScratchDir();
+  } scratch_;
+  std::vector<model::MappedColumnar> results_;
+};
+
 }  // namespace
 
 std::string_view ToString(RowStatus status) noexcept {
@@ -486,23 +608,6 @@ std::string EngineStats::ToString() const {
 }
 
 struct ScenarioEngine::Compiled {
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-
-  /// One memoized stage node: a distinct (prefix canonical name, seed)
-  /// pair. The instance is built from the stage's ORIGINAL spec text,
-  /// never from the canonical name — Name() prints numbers at fixed
-  /// precision, so re-parsing it could silently change parameters (e.g.
-  /// eps=0.00004 -> "eps=0.0000" -> 0.0). One instance per node because
-  /// some baselines keep mutable per-Apply scratch (e.g. Wait4Me's
-  /// suppression ratio) that must not be shared between
-  /// concurrently-running nodes.
-  struct StagePlan {
-    std::string prefix_name;  ///< stage names [0..k] joined with '|'
-    std::string spec_text;    ///< original stage spec text (worker dispatch)
-    std::size_t parent = kNoParent;  ///< previous stage's node, if any
-    std::size_t seed_index = 0;
-    std::unique_ptr<mech::Mechanism> instance;
-  };
   /// One report row group: a deduped chain (possibly single-stage) of the
   /// spec, in first-appearance order. Rows that canonicalize to the same
   /// chain name share everything (first spec text wins).
@@ -559,7 +664,7 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
     row.name = chain_name;
     row.terminal.resize(seed_count);
     for (std::size_t seed = 0; seed < seed_count; ++seed) {
-      std::size_t parent = Compiled::kNoParent;
+      std::size_t parent = kNoParent;
       std::string prefix;
       for (std::size_t k = 0; k < stage_names.size(); ++k) {
         if (k > 0) prefix += "|";
@@ -568,7 +673,7 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
         const auto key = std::make_pair(prefix, seed);
         auto it = node_index.find(key);
         if (it == node_index.end()) {
-          Compiled::StagePlan plan;
+          StagePlan plan;
           plan.prefix_name = prefix;
           plan.spec_text = stage_texts[k];
           plan.parent = parent;
@@ -670,38 +775,36 @@ Report ScenarioEngine::Run() {
         return report;
       };
 
-  // ---- Shard-streamed path (out-of-core execution). -------------------
+  // ---- Streamed executor (out-of-core execution). ---------------------
   // Engages only when semantics are provably identical to the whole-view
   // DAG: a shard-dir source whose layout ProbeShardStream accepts, every
   // grid row a single-stage per-trace mechanism (cross-trace mechanisms
   // and chains need the whole view), every evaluator foldable
-  // (core::TraceFold), no output cache (its keys fingerprint the whole
-  // source) and no watchdog (a per-node wall clock has no meaning for
-  // interleaved shard passes). Everything else falls back to the DAG.
+  // (core::TraceFold) and no output cache (its keys fingerprint the whole
+  // source). Everything else falls back to the DAG.
   bool foldable =
       c.spec.source.kind == DatasetSourceSpec::Kind::kShardDir &&
       c.spec.mechanism_cache_dir.empty();
   for (std::size_t i = 0; foldable && i < stage_count; ++i) {
-    foldable = c.stage_nodes[i].parent == Compiled::kNoParent &&
+    foldable = c.stage_nodes[i].parent == kNoParent &&
                dynamic_cast<const mech::PerTraceMechanism*>(
                    c.stage_nodes[i].instance.get()) != nullptr;
   }
   for (std::size_t e = 0; foldable && e < eval_count; ++e) {
     foldable = c.evaluators[e]->MakeTraceFold(seeds[0]) != nullptr;
   }
-  // The multi-process path additionally needs a worker binary; the
-  // watchdog is COMPATIBLE with it (it becomes the per-request deadline,
-  // with real preemption), while the in-process streamed path must leave
-  // watchdogged grids to the DAG.
+  // Stages run in worker processes when a worker binary is available.
+  // Only they take a watchdog (as the per-request deadline, with real
+  // preemption): a per-node wall clock has no meaning for interleaved
+  // in-process shard passes, so those grids are left to the DAG.
   std::string worker_binary;
   if (foldable && c.spec.workers > 0) {
     worker_binary = c.spec.worker_binary.empty() ? DefaultWorkerBinary()
                                                  : c.spec.worker_binary;
   }
   const bool want_workers = foldable && !worker_binary.empty();
-  const bool streamable = foldable && c.spec.node_timeout_ms == 0.0;
   std::optional<ShardStreamPlan> stream;
-  if (want_workers || streamable) {
+  if (want_workers || (foldable && c.spec.node_timeout_ms == 0.0)) {
     // The probe is this path's bind: manifest + per-shard metadata, no
     // event column ever resident.
     const auto probe_start = std::chrono::steady_clock::now();
@@ -709,276 +812,95 @@ Report ScenarioEngine::Run() {
     stats_.bind_ms += ElapsedMs(probe_start);
   }
 
-  // ---- Supervised multi-process path (core/shard_exec.h). -------------
-  // Mechanism stages run in disposable worker processes (one per shard
-  // subset) with heartbeat liveness, per-request deadlines and bounded
-  // retry; the supervisor-side merge below then mirrors the streamed
-  // path, reading each stage's published columns from the workers'
-  // atomically-written `.mpc` result files instead of recomputing them.
-  // `.mpc` round-trips doubles bitwise and per-trace RNG streams are
-  // partition-independent, so the merged report is byte-identical to the
-  // in-process run at any worker count. A stage whose retries exhaust
-  // (or whose worker reports a permanent error) degrades to the same
-  // failed/skipped rows the DAG would produce.
-  // Both streamed executors: engine-side injected stage faults fire
-  // before any stage work, with the DAG's error text; the fold merge
-  // covers the grid's cells in row-major (row, seed) groups.
-  const auto inject_stage_faults = [&](std::vector<NodeResult>& verdicts) {
-    for (std::size_t i = 0; i < stage_count; ++i) {
-      const std::string& prefix = c.stage_nodes[i].prefix_name;
-      if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
-                                     prefix)) {
-        verdicts[i] = {NodeStatus::kFailed,
-                       InjectedFault(fault::points::kEngineMechanismRun,
-                                     prefix)};
-      }
-    }
-  };
-  const auto make_merge = [&](std::vector<NodeResult>& verdicts,
-                              StreamExtents extents) {
-    std::vector<std::size_t> group_terminal;
-    for (const Compiled::RowPlan& row : c.rows) {
-      group_terminal.insert(group_terminal.end(), row.terminal.begin(),
-                            row.terminal.end());
-    }
-    return FoldMerge(c.evaluators, c.eval_names, seeds,
-                     std::move(group_terminal), verdicts, std::move(extents));
-  };
-
-  if (stream && want_workers) {
+  // One body for both placements. ApplyStageToShard's output is
+  // partition-independent and `.mpc` round-trips doubles bitwise, so the
+  // report is byte-identical to the DAG's in process and at any worker
+  // count, degraded rows included.
+  if (stream) {
     const ShardStreamPlan& plan = *stream;
     stats_.streamed_shards = plan.shard_count;
     std::vector<NodeResult> node_results(stage_count + eval_nodes);
     std::vector<std::vector<MetricValue>> results(eval_nodes);
     stats_.run_ms = TimeMs([&] {
-      inject_stage_faults(node_results);
-
-      // Result handoff directory, removed wholesale on exit (including
-      // any torn temp a killed worker left behind).
-      struct ScratchDir {
-        std::string path;
-        ~ScratchDir() {
-          if (path.empty()) return;
-          std::error_code ec;
-          std::filesystem::remove_all(path, ec);
-        }
-      } scratch;
-      scratch.path = MakeScratchDir();
-
-      const auto stage_stem = [](std::size_t n) {
-        return "stage-" + std::to_string(n);
-      };
-      std::vector<ShardStageTask> tasks;
-      std::vector<std::size_t> task_stage;
-      for (std::size_t i = 0; i < stage_count; ++i) {
-        if (node_results[i].status != NodeStatus::kOk) continue;
-        const Compiled::StagePlan& stage = c.stage_nodes[i];
-        ShardStageTask task;
-        task.spec_text = stage.spec_text;
-        task.prefix_name = stage.prefix_name;
-        task.stem = stage_stem(i);
-        task.seed = seeds[stage.seed_index];
-        tasks.push_back(std::move(task));
-        task_stage.push_back(i);
-      }
-      ShardExecOptions exec_options;
-      exec_options.worker_binary = worker_binary;
-      exec_options.workers = c.spec.workers;
-      exec_options.request_timeout_ms = c.spec.node_timeout_ms;
-      ShardExecStats exec_stats;
-      const std::vector<ShardStageOutcome> outcomes =
-          RunShardStagesMultiProcess(plan, tasks, scratch.path, exec_options,
-                                     &exec_stats);
-      stats_.workers_spawned = exec_stats.workers_spawned;
-      stats_.worker_restarts = exec_stats.worker_restarts;
-      stats_.worker_failures = exec_stats.worker_failures;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (!outcomes[t].ok) {
-          node_results[task_stage[t]] = {NodeStatus::kFailed,
-                                         outcomes[t].error};
+      // Injected stage faults fire before any stage work, with the DAG's
+      // error text.
+      for (std::size_t n = 0; n < stage_count; ++n) {
+        const std::string& prefix = c.stage_nodes[n].prefix_name;
+        if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
+                                       prefix)) {
+          node_results[n] = {NodeStatus::kFailed,
+                             InjectedFault(fault::points::kEngineMechanismRun,
+                                           prefix)};
         }
       }
-
-      // Post-supervision result loss is not retryable any more; the
-      // stage degrades with a deterministic (basename-only) error.
-      const auto torn_error = [&](std::size_t n, std::size_t s) {
-        return "result missing or torn after supervision: " +
-               std::filesystem::path(
-                   wp::StageShardPath(scratch.path, stage_stem(n), s))
-                   .filename()
-                   .string();
-      };
-
-      // Merge pass 0 (extents): original bbox/time span from the source
-      // shards, published bbox from each surviving stage's result files.
-      StreamExtents extents(stage_count);
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          extents.AddOriginal(mapped.View(i));
-        }
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          try {
-            const model::MappedColumnar result = model::MapColumnar(
-                wp::StageShardPath(scratch.path, stage_stem(n), s));
-            for (std::size_t i = 0; i < result.TraceCount(); ++i) {
-              extents.published_bbox[n].Extend(result.View(i).BoundingBox());
-            }
-          } catch (const std::exception&) {
-            node_results[n] = {NodeStatus::kFailed, torn_error(n, s)};
+      const auto stream_through = [&](auto& placement) {
+        // Hands `fold` every shard in ascending order: its global-id
+        // original views and the placement's stage outputs for it. One
+        // shard's input and outputs are resident at a time.
+        const auto each_shard = [&](const auto& fold) {
+          for (std::size_t s = 0; s < plan.shard_count; ++s) {
+            const model::MappedColumnar shard =
+                model::MapColumnar(model::ShardDataPath(plan.dir, s));
+            const std::vector<model::TraceView> original =
+                GlobalViews(plan, s, shard.View());
+            std::vector<std::vector<model::TraceView>> published(
+                stage_count);
+            placement.Produce(s, shard, node_results, published);
+            fold(s, original, published);
           }
-        }
-      }
+        };
 
-      // Merge pass 1 (folds): per shard, the original views come from
-      // the source shard and each stage's published views from its
-      // result file (same trace order, re-labelled into the global user
-      // id space), in ascending shard order like the in-process executor.
-      FoldMerge merge = make_merge(node_results, std::move(extents));
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::TraceView> original =
-            GlobalViews(plan, s, mapped);
-        const std::size_t trace_count = original.size();
-        std::vector<model::MappedColumnar> stage_results(stage_count);
-        std::vector<std::vector<model::TraceView>> published(stage_count);
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          try {
-            stage_results[n] = model::MapColumnar(
-                wp::StageShardPath(scratch.path, stage_stem(n), s));
-            if (stage_results[n].TraceCount() != trace_count) {
-              throw model::IoError("trace count mismatch");
-            }
-          } catch (const std::exception&) {
-            node_results[n] = {NodeStatus::kFailed, torn_error(n, s)};
-            continue;
+        // Pass 0 (extents): the full-dataset boxes and time span every
+        // fold's slice must carry. Pass 1 produces the identical outputs
+        // again (the same per-trace streams, the same result files): the
+        // price of holding one shard's outputs at a time.
+        StreamExtents extents(stage_count);
+        each_shard([&](std::size_t, const auto& original,
+                       const auto& published) {
+          for (const model::TraceView& trace : original) {
+            extents.AddOriginal(trace);
           }
-          published[n].resize(trace_count);
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            published[n][i] =
-                stage_results[n].View(i).WithUser(original[i].user());
-          }
-        }
-        merge.Feed(plan, s, original, published);
-      }
-      results = merge.Finalize();
-      stats_.fold_ms = merge.ms();
-      stats_.original_preparations = merge.preparations();
-    });
-    return assemble(node_results, results);
-  }
-
-  if (stream && streamable) {
-    const ShardStreamPlan& plan = *stream;
-    stats_.streamed_shards = plan.shard_count;
-    std::vector<NodeResult> node_results(stage_count + eval_nodes);
-    std::vector<std::vector<MetricValue>> results(eval_nodes);
-    stats_.run_ms = TimeMs([&] {
-      inject_stage_faults(node_results);
-      // Per-stage master draws: the one NextU64 ApplyToStore makes, from
-      // the same per-prefix stream — so every per-trace rng
-      // (master, user, original index) matches the DAG path bit for bit.
-      std::vector<std::uint64_t> masters(stage_count, 0);
-      std::vector<const mech::PerTraceMechanism*> kernels(stage_count,
-                                                          nullptr);
-      for (std::size_t i = 0; i < stage_count; ++i) {
-        if (node_results[i].status != NodeStatus::kOk) continue;
-        const Compiled::StagePlan& stage = c.stage_nodes[i];
-        util::Rng rng(util::DeriveStreamSeed(
-            seeds[stage.seed_index],
-            model::Fnv1a64(stage.prefix_name.data(),
-                           stage.prefix_name.size()),
-            0));
-        masters[i] = rng.NextU64();
-        kernels[i] = static_cast<const mech::PerTraceMechanism*>(
-            stage.instance.get());
-      }
-
-      // Pass 0 (extents): fold the full-dataset bounding boxes and time
-      // span every fold's slice must carry, running each surviving
-      // mechanism trace by trace into a reused scratch buffer. Pass 1
-      // re-derives the identical per-trace streams, so recomputing is a
-      // determinism no-op — the price of never holding two passes' state.
-      StreamExtents extents(stage_count);
-      model::TraceBuffer scratch;
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::TraceView> original =
-            GlobalViews(plan, s, mapped);
-        for (std::size_t i = 0; i < original.size(); ++i) {
-          extents.AddOriginal(original[i]);
           for (std::size_t n = 0; n < stage_count; ++n) {
-            if (node_results[n].status != NodeStatus::kOk) continue;
-            scratch.Clear();
-            RunContained(node_results[n], [&] {
-              kernels[n]->ApplyToIndexedTrace(original[i], masters[n],
-                                              plan.origin[s][i], scratch);
-            });
-            if (node_results[n].status != NodeStatus::kOk) continue;
-            for (std::size_t f = 0; f < scratch.size(); ++f) {
-              extents.published_bbox[n].Extend(
-                  geo::LatLng{scratch.lat()[f], scratch.lng()[f]});
+            for (const model::TraceView& trace : published[n]) {
+              extents.published_bbox[n].Extend(trace.BoundingBox());
             }
           }
-        }
-      }
+        });
 
-      // Pass 1 (folds): map one shard, materialize each surviving stage's
-      // output for THAT shard only, feed the fold merge, drop everything,
-      // move on — the resident set the streamed path promises: one
-      // shard's input plus one shard's outputs.
-      FoldMerge merge = make_merge(node_results, std::move(extents));
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::TraceView> original =
-            GlobalViews(plan, s, mapped);
-        const std::size_t trace_count = original.size();
-        std::vector<model::TraceBuffer> buffers(stage_count);
-        std::vector<std::vector<std::size_t>> ends(stage_count);
-        std::vector<std::vector<model::TraceView>> published(stage_count);
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          ends[n].resize(trace_count);
-          RunContained(node_results[n], [&] {
-            for (std::size_t i = 0; i < trace_count; ++i) {
-              kernels[n]->ApplyToIndexedTrace(original[i], masters[n],
-                                              plan.origin[s][i],
-                                              buffers[n]);
-              ends[n][i] = buffers[n].size();
-            }
-          });
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          // Views over the filled buffer (stable now: no more appends).
-          // An empty range is a suppressed trace.
-          published[n].resize(trace_count);
-          const std::span<const double> lat = buffers[n].lat();
-          const std::span<const double> lng = buffers[n].lng();
-          const std::span<const util::Timestamp> time = buffers[n].time();
-          std::size_t begin = 0;
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            const std::size_t count = ends[n][i] - begin;
-            published[n][i] = model::TraceView(
-                original[i].user(),
-                model::StridedSpan<double>(lat.data() + begin, count,
-                                           sizeof(double)),
-                model::StridedSpan<double>(lng.data() + begin, count,
-                                           sizeof(double)),
-                model::StridedSpan<util::Timestamp>(
-                    time.data() + begin, count, sizeof(util::Timestamp)));
-            begin = ends[n][i];
-          }
+        // Pass 1 (folds): grid cells in row-major (row, seed) groups.
+        std::vector<std::size_t> group_terminal;
+        for (const Compiled::RowPlan& row : c.rows) {
+          group_terminal.insert(group_terminal.end(), row.terminal.begin(),
+                                row.terminal.end());
         }
-        merge.Feed(plan, s, original, published);
+        FoldMerge merge(c.evaluators, c.eval_names, seeds,
+                        std::move(group_terminal), node_results,
+                        std::move(extents));
+        each_shard([&](std::size_t s, const auto& original,
+                       const auto& published) {
+          merge.Feed(plan, s, original, published);
+        });
+        results = merge.Finalize();
+        stats_.fold_ms = merge.ms();
+        stats_.original_preparations = merge.preparations();
+      };
+
+      if (want_workers) {
+        ShardExecOptions options;
+        options.worker_binary = worker_binary;
+        options.workers = c.spec.workers;
+        options.request_timeout_ms = c.spec.node_timeout_ms;
+        ShardExecStats exec_stats;
+        WorkerStages placement(c.stage_nodes, seeds, plan, options,
+                               node_results, exec_stats);
+        stats_.workers_spawned = exec_stats.workers_spawned;
+        stats_.worker_restarts = exec_stats.worker_restarts;
+        stats_.worker_failures = exec_stats.worker_failures;
+        stream_through(placement);
+      } else {
+        InProcessStages placement(c.stage_nodes, seeds, plan);
+        stream_through(placement);
       }
-      results = merge.Finalize();
-      stats_.fold_ms = merge.ms();
-      stats_.original_preparations = merge.preparations();
     });
     return assemble(node_results, results);
   }
@@ -1037,11 +959,11 @@ Report ScenarioEngine::Run() {
   std::vector<DagNode> nodes;
   nodes.reserve(stage_count + eval_nodes);
   for (std::size_t i = 0; i < stage_count; ++i) {
-    const Compiled::StagePlan& plan = c.stage_nodes[i];
+    const StagePlan& plan = c.stage_nodes[i];
     DagNode dag_node;
-    dag_node.dependency_count = plan.parent == Compiled::kNoParent ? 0 : 1;
+    dag_node.dependency_count = plan.parent == kNoParent ? 0 : 1;
     dag_node.work = [&, i] {
-      const Compiled::StagePlan& stage = c.stage_nodes[i];
+      const StagePlan& stage = c.stage_nodes[i];
       // Keyed by prefix canonical name (== the mechanism name for
       // single-stage rows): an armed fault trips for exactly the chosen
       // node's stage, whichever worker runs it — the degraded report
@@ -1052,15 +974,7 @@ Report ScenarioEngine::Run() {
         throw std::runtime_error(InjectedFault(
             fault::points::kEngineMechanismRun, stage.prefix_name));
       }
-      // Every stage node owns an independent stream derived from the cell
-      // seed and the PREFIX canonical name: a row's bytes depend only on
-      // its own stages, so adding grid rows (or suffix stages elsewhere)
-      // never perturbs existing ones — the property that makes prefix
-      // outputs shareable at all.
-      util::Rng rng(util::DeriveStreamSeed(
-          seeds[stage.seed_index],
-          model::Fnv1a64(stage.prefix_name.data(), stage.prefix_name.size()),
-          0));
+      util::Rng rng = StageRng(seeds[stage.seed_index], stage.prefix_name);
       std::string key_text;
       bool loaded = false;
       if (cache) {
@@ -1072,7 +986,7 @@ Report ScenarioEngine::Run() {
       if (loaded) {
         cache_hits.fetch_add(1, std::memory_order_relaxed);
       } else {
-        const model::DatasetView& input = stage.parent == Compiled::kNoParent
+        const model::DatasetView& input = stage.parent == kNoParent
                                               ? source.view()
                                               : published[stage.parent];
         outputs[i] = stage.instance->ApplyToStore(input, rng);
@@ -1084,7 +998,7 @@ Report ScenarioEngine::Run() {
       published[i] = outputs[i].View();
     };
     nodes.push_back(std::move(dag_node));
-    if (plan.parent != Compiled::kNoParent) {
+    if (plan.parent != kNoParent) {
       nodes[plan.parent].dependents.push_back(i);
     }
   }

@@ -42,11 +42,18 @@
 // epsilons differing below 1e-4) are treated as the same grid cell — the
 // first entry's text wins.
 //
+// Over a shard directory, an eligible grid (EngineStats::streamed_shards)
+// runs on one streamed executor instead: a shard loop folding each
+// shard's original and published views into the evaluators
+// (core::TraceFold), the dataset never resident. Its two stage placements
+// differ only in where shard s's stage output comes from: the kernel run
+// in process, or the `.mpc` a supervised worker wrote running the same
+// core::ApplyStageToShard (ScenarioSpec::workers, core/shard_exec.h).
+//
 // Determinism contract (test-enforced): same spec + seeds => byte-identical
 // Report at any worker count (spec.threads, MOBIPRIV_THREADS) and any
-// shard count of a shard-dir source. Each mechanism node draws from its
-// own stream, derived from (cell seed, FNV of the canonical name), so
-// grid composition never perturbs results.
+// shard count of a shard-dir source; stage streams come from
+// core::StageRng, so grid composition never perturbs results.
 #pragma once
 
 #include <cstdint>
@@ -125,8 +132,8 @@ struct EngineStats {
   std::size_t evaluator_nodes = 0;  ///< evaluation nodes run
   /// (evaluator, seed) original halves computed: on the whole-view DAG,
   /// the Evaluator::PrepareOriginal slots filled (evaluators whose
-  /// PrepareOriginal returns nothing included); on the shard-streamed and
-  /// worker paths, the original-side folds the fold merge runs. Each is
+  /// PrepareOriginal returns nothing included); on the streamed executor,
+  /// the original-side folds the fold merge runs. Each is
   /// computed once for every grid row scored against it, and only when at
   /// least one of its cells is live.
   std::size_t original_preparations = 0;
@@ -153,7 +160,7 @@ struct EngineStats {
   /// configured; reports are byte-identical on either path.
   std::size_t streamed_shards = 0;
   /// Multi-process supervision accounting (core/shard_exec.h), all 0
-  /// unless ScenarioSpec::workers engaged the worker path:
+  /// unless ScenarioSpec::workers engaged the worker placement:
   /// processes forked (including respawns), spawns beyond a subset's
   /// first (the retry evidence), and (stage, subset) permanent failures
   /// (retry exhaustion or worker-reported errors).
@@ -168,8 +175,7 @@ struct EngineStats {
   double bind_ms = 0.0;             ///< source open/map/parse time
   double run_ms = 0.0;              ///< DAG execution wall clock
   /// Part of run_ms spent inside fold accumulate and finalize calls
-  /// (core::TraceFold) on the shard-streamed and worker paths; 0 on the
-  /// whole-view DAG.
+  /// (core::TraceFold) on the streamed executor; 0 on the whole-view DAG.
   double fold_ms = 0.0;
 
   [[nodiscard]] std::string ToString() const;

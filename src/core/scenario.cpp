@@ -6,6 +6,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "mechanisms/mechanism.h"
 #include "model/io.h"
 #include "synth/population.h"
 #include "util/spec.h"
@@ -292,6 +293,48 @@ std::optional<ShardStreamPlan> ProbeShardStream(const std::string& dir) {
     return std::nullopt;
   }
   return plan;
+}
+
+util::Rng StageRng(std::uint64_t seed, std::string_view prefix_name) {
+  return util::Rng(util::DeriveStreamSeed(
+      seed, model::Fnv1a64(prefix_name.data(), prefix_name.size()), 0));
+}
+
+std::vector<model::TraceView> GlobalViews(const ShardStreamPlan& plan,
+                                          std::size_t shard,
+                                          const model::DatasetView& local) {
+  const std::vector<model::UserId>& l2g = plan.local_to_global[shard];
+  if (local.TraceCount() != plan.origin[shard].size() ||
+      local.UserCount() != l2g.size()) {
+    throw model::IoError("shard does not match manifest: " +
+                         model::ShardDataPath(plan.dir, shard));
+  }
+  std::vector<model::TraceView> views = local.traces();
+  for (model::TraceView& view : views) view = view.WithUser(l2g[view.user()]);
+  return views;
+}
+
+model::EventStore ApplyStageToShard(
+    const mech::PerTraceMechanism& stage, std::uint64_t master,
+    const ShardStreamPlan& plan, std::size_t shard,
+    const model::MappedColumnar& mapped,
+    const std::function<void(std::size_t)>& progress) {
+  const std::vector<model::TraceView> traces =
+      GlobalViews(plan, shard, mapped.View());
+  model::TraceBuffer buffer;
+  buffer.Reserve(mapped.EventCount());
+  std::vector<model::EventStore::TraceRange> ranges(traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const std::size_t begin = buffer.size();
+    stage.ApplyToIndexedTrace(traces[i], master, plan.origin[shard][i],
+                              buffer);
+    ranges[i] = {mapped.TraceUser(i), begin, buffer.size()};
+    if (progress) progress(i);
+  }
+  const std::span<const std::string> names = mapped.names();
+  return model::EventStore::FromBuffer(
+      std::vector<std::string>(names.begin(), names.end()),
+      std::move(ranges), std::move(buffer));
 }
 
 BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {

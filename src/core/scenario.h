@@ -20,19 +20,27 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/columnar_file.h"
 #include "model/dataset.h"
+#include "model/event_store.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
+#include "util/rng.h"
 
 namespace mobipriv::synth {
 class SyntheticWorld;
 }  // namespace mobipriv::synth
+
+namespace mobipriv::mech {
+class PerTraceMechanism;
+}  // namespace mobipriv::mech
 
 namespace mobipriv::core {
 
@@ -163,6 +171,35 @@ struct ShardStreamPlan {
 /// diagnostics. Streaming is a resource strategy, never a semantic one.
 [[nodiscard]] std::optional<ShardStreamPlan> ProbeShardStream(
     const std::string& dir);
+
+/// The stream a stage node draws from, derived from the cell seed and the
+/// stage's PREFIX canonical name (stage names [0..k] joined with '|'): a
+/// row's bytes depend only on its own stages, so adding grid rows never
+/// perturbs existing ones and prefix outputs are shareable. Every
+/// executor and the `anonymize_csv` publish path derive stage streams here.
+[[nodiscard]] util::Rng StageRng(std::uint64_t seed,
+                                 std::string_view prefix_name);
+
+/// Shard `shard`'s traces in `local` (its `.mpc`, or a stage's output for
+/// it), user ids re-labelled into the global dense id space the folds and
+/// the whole view use. Throws model::IoError when `local` does not match
+/// the shard's probed trace count and name table.
+[[nodiscard]] std::vector<model::TraceView> GlobalViews(
+    const ShardStreamPlan& plan, std::size_t shard,
+    const model::DatasetView& local);
+
+/// Applies one per-trace stage to shard `shard`: each trace runs on the
+/// stream ApplyToStore would give it in the whole view (keyed by `master`,
+/// the stage stream's first draw, its global user id and its original
+/// dataset index), so the output is partition-independent. The result
+/// keeps one trace per input trace (empty when suppressed), SHARD-LOCAL
+/// user ids and the shard's name table: a worker's result file layout.
+/// `progress`, when set, is called with each trace index once applied.
+[[nodiscard]] model::EventStore ApplyStageToShard(
+    const mech::PerTraceMechanism& stage, std::uint64_t master,
+    const ShardStreamPlan& plan, std::size_t shard,
+    const model::MappedColumnar& mapped,
+    const std::function<void(std::size_t)>& progress = nullptr);
 
 /// A bound dataset source: owns whatever storage the source kind needs
 /// (parsed dataset, synthetic world, mmap mappings) and serves one

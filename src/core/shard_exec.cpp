@@ -268,9 +268,9 @@ struct Supervisor {
   }
 
   /// Worker replied 'R': every owned shard must now have a valid result
-  /// file with the expected trace count. Anything else is a torn
-  /// handoff — retryable, with a basename-only (machine-independent)
-  /// reason.
+  /// file the engine can view (GlobalViews: the shard's trace count and
+  /// name table). Anything else is a torn handoff — retryable, with a
+  /// basename-only (machine-independent) reason.
   void HandleRequestDone(Slot& slot, std::size_t slot_index) {
     const ShardStageTask& task = tasks[slot.task];
     for (const std::size_t shard : slot.shards) {
@@ -279,8 +279,7 @@ struct Supervisor {
           util::fault::points::kSupervisorResultValidate, task.prefix_name);
       if (!torn) {
         try {
-          const model::MappedColumnar result = model::MapColumnar(path);
-          torn = result.TraceCount() != plan.origin[shard].size();
+          (void)GlobalViews(plan, shard, model::MapColumnar(path).View());
         } catch (const std::exception&) {
           torn = true;
         }

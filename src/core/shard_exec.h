@@ -1,20 +1,17 @@
 // Fault-tolerant multi-process shard execution: the supervisor side of
-// ROADMAP item 2.
+// the engine's worker placement.
 //
-// The engine's shard-streamed path (core/engine.cpp) proves a grid over
-// a shard directory can run without the dataset ever being resident;
-// this layer moves the mechanism work OUT OF PROCESS so one bad
-// allocation, stuck mechanism or OOM kill loses a retry, not the run.
-//
-// Shape: the supervisor partitions the plan's shards into up to
-// `workers` contiguous subsets (PartitionShards) and runs one
-// `mobipriv_worker` process per subset, speaking the length-prefixed
-// pipe protocol of core/worker_protocol.h. Each (stage, subset) request
-// makes the worker apply one mechanism stage to its shards and publish
-// one `.mpc` result file per shard through the atomic write path — a
-// worker killed mid-write never leaves a torn result under the final
-// name, so the supervisor can treat "missing or torn result" as just
-// another retryable failure.
+// The engine runs an eligible grid over a shard directory with one
+// streamed executor (core/engine.cpp). Its stages have two placements:
+// in process, the engine runs core::ApplyStageToShard itself; with
+// workers, this layer runs that same routine in `mobipriv_worker`
+// processes, so one bad allocation, stuck mechanism or OOM kill loses a
+// retry, not the run. The supervisor partitions the shards into up to
+// `workers` contiguous subsets (PartitionShards), one process each,
+// speaking the pipe protocol of core/worker_protocol.h. Per (stage,
+// subset) request a worker publishes one `.mpc` result per shard through
+// the atomic write path, so a missing or torn result is just another
+// retryable failure.
 //
 // Robustness model (all bounds deterministic, all error strings
 // machine-independent so degraded reports stay byte-identical):
@@ -31,11 +28,9 @@
 //                  failure, forwarded verbatim) fails ONLY that stage's
 //                  rows; the rest of the grid completes normally.
 //
-// Determinism: per-trace RNG streams are partition-independent
-// (PerTraceMechanism::ApplyToIndexedTrace keyed by global user id +
-// original dataset index), `.mpc` round-trips doubles bitwise, and the
-// engine merges results in ascending shard order — so the merged Report
-// is byte-identical to the in-process run at ANY worker count, retry
+// Determinism: ApplyStageToShard's output is partition-independent and
+// `.mpc` round-trips doubles bitwise, so the merged Report is
+// byte-identical to the in-process run at ANY worker count, retry
 // history included.
 //
 // Fault points (util/fault.h): workers inherit the supervisor's

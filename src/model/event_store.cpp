@@ -52,6 +52,14 @@ EventStore EventStore::FromColumns(std::vector<std::string> names,
   return store;
 }
 
+EventStore EventStore::FromBuffer(std::vector<std::string> names,
+                                  std::vector<TraceRange> traces,
+                                  TraceBuffer&& buffer) {
+  return FromColumns(std::move(names), std::move(traces),
+                     std::move(buffer.lat_), std::move(buffer.lng_),
+                     std::move(buffer.time_));
+}
+
 UserId EventStore::InternUser(const std::string& name) {
   const auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;

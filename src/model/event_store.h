@@ -59,6 +59,13 @@ class TraceBuffer {
     return Rows{lat_.data() + at, lng_.data() + at, time_.data() + at};
   }
 
+  /// Pre-sizes the columns for `n` fixes.
+  void Reserve(std::size_t n) {
+    lat_.reserve(n);
+    lng_.reserve(n);
+    time_.reserve(n);
+  }
+
   /// Fixes appended so far.
   [[nodiscard]] std::size_t size() const noexcept { return time_.size(); }
   [[nodiscard]] bool empty() const noexcept { return time_.empty(); }
@@ -81,6 +88,8 @@ class TraceBuffer {
   [[nodiscard]] Trace ToTrace(UserId user) const;
 
  private:
+  friend class EventStore;  // FromBuffer adopts the columns
+
   std::vector<double> lat_;
   std::vector<double> lng_;
   std::vector<util::Timestamp> time_;
@@ -114,6 +123,12 @@ class EventStore {
       std::vector<std::string> names, std::vector<TraceRange> traces,
       std::vector<double> lat, std::vector<double> lng,
       std::vector<util::Timestamp> time);
+
+  /// FromColumns over a filled buffer's columns, moved out of it: the
+  /// copy-free hand-off of a per-trace stage's output.
+  [[nodiscard]] static EventStore FromBuffer(std::vector<std::string> names,
+                                             std::vector<TraceRange> traces,
+                                             TraceBuffer&& buffer);
 
   /// Registers (or looks up) the dense id for an external user name.
   UserId InternUser(const std::string& name);

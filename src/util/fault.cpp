@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace mobipriv::util::fault {
 
@@ -48,11 +50,17 @@ Registry& TheRegistry() {
 }
 
 // MOBIPRIV_FAULTS is parsed once, before main touches any I/O path.
-// A malformed value aborts loudly rather than silently injecting nothing.
+// A malformed value exits loudly (one error line, status 2) rather than
+// silently injecting nothing; it never escapes as an abort.
 const std::size_t g_env_armed = [] {
   const char* env = std::getenv("MOBIPRIV_FAULTS");
   if (env == nullptr || *env == '\0') return std::size_t{0};
-  return ArmFromSpec(env);
+  try {
+    return ArmFromSpec(env);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }();
 
 Config ParseOneSpec(std::string_view point, std::string_view spec) {
@@ -62,18 +70,16 @@ Config ParseOneSpec(std::string_view point, std::string_view spec) {
   };
   Config config;
   // Comma-separated options after the mode ("kill:9@1,key:gaussian#0").
-  // Only `key:` exists today; the split keeps the grammar open.
-  std::string_view body = spec;
-  while (true) {
-    const std::size_t comma = body.rfind(',');
-    if (comma == std::string_view::npos) break;
-    const std::string_view option = body.substr(comma + 1);
-    if (!option.starts_with("key:")) {
-      bad("unknown option '" + std::string(option) + "'");
+  // Only `key:` exists today; the split keeps the grammar open. Commas
+  // inside "[...]" belong to the key, so any mechanism name can be one.
+  const std::vector<std::string> pieces = SplitTopLevel(spec, ',');
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    if (!pieces[i].starts_with("key:")) {
+      bad("unknown option '" + pieces[i] + "'");
     }
-    config.key_filter = std::string(option.substr(4));
-    body = body.substr(0, comma);
+    config.key_filter = pieces[i].substr(4);
   }
+  const std::string_view body = pieces.front();
   if (body == "once") return config;  // kFailTimes, times = 1
   const std::size_t colon = body.find(':');
   const std::string_view mode = body.substr(0, colon);

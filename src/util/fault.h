@@ -30,7 +30,10 @@
 //                   evaluation (N optional, default 1) — the crash lever
 //                   of the worker-supervision test matrix
 //     Any spec may append `,key:K` to set the key filter from the
-//     environment (e.g. "worker.apply=kill:9@1,key:gaussian#0").
+//     environment (e.g. "worker.apply=kill:9@1,key:gaussian#0"). Commas
+//     inside "[...]" are part of K, so any mechanism name is a key. A
+//     malformed value makes the process print one `error:` line and exit
+//     with status 2 before main runs.
 //
 // A Config may carry a `key_filter`: the point then only trips for
 // evaluations whose key matches (e.g. fail exactly the "gaussian[...]"

@@ -260,6 +260,20 @@ TEST(FaultSpec, ArmFromSpecGrammar) {
   EXPECT_FALSE(fault::Evaluate(fault::points::kEngineMechanismRun).fail);
   fault::DisarmAll();
 
+  // Commas inside "[...]" belong to the key, so a mix-zone chain prefix
+  // is keyable.
+  const std::string mix_prefix =
+      "geo_ind[eps=0.0500]|downsampling[dt=120s]|mixzone[r=100m,w=600s]";
+  EXPECT_EQ(fault::ArmFromSpec("engine.mechanism.run=times:100,key:" +
+                               mix_prefix),
+            1u);
+  EXPECT_FALSE(
+      fault::Evaluate(fault::points::kEngineMechanismRun, "gaussian").fail);
+  EXPECT_TRUE(
+      fault::Evaluate(fault::points::kEngineMechanismRun, mix_prefix).fail);
+  fault::DisarmAll();
+
+  EXPECT_THROW(fault::ArmFromSpec("x=once,w=600s]"), std::invalid_argument);
   EXPECT_THROW(fault::ArmFromSpec("nonsense"), std::invalid_argument);
   EXPECT_THROW(fault::ArmFromSpec("x=unknownmode"), std::invalid_argument);
   EXPECT_THROW(fault::ArmFromSpec("x=times:"), std::invalid_argument);

@@ -8,12 +8,17 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "mechanisms/mechanism.h"
+#include "mechanisms/registry.h"
+#include "model/columnar_file.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
 #include "synth/population.h"
@@ -250,6 +255,86 @@ TEST(ShardStream, FailedStageOrCellStrandsOnlyItsOwnRows) {
       ExpectHealthyRowsMatch(report, healthy);
     }
     fault::DisarmAll();
+  }
+  fs::remove_all(dir);
+}
+
+/// Test-only per-trace stage: copies every trace, but throws on the
+/// traces of one user.
+class PoisonedUser final : public mech::PerTraceMechanism {
+ public:
+  explicit PoisonedUser(model::UserId target) : target_(target) {}
+  [[nodiscard]] std::string Name() const override { return "poisoned_user"; }
+
+ protected:
+  void ApplyToTraceColumns(const model::TraceView& trace,
+                           model::TraceBuffer& out,
+                           util::Rng& /*rng*/) const override {
+    if (trace.user() == target_) {
+      throw std::runtime_error("poisoned user " + std::to_string(target_));
+    }
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      out.Append(trace.position(i), trace.time(i));
+    }
+  }
+
+ private:
+  model::UserId target_;
+};
+
+TEST(ShardStream, StageThrowingMidShardFailsOnlyItsOwnRow) {
+  const std::string dir = MakeShardDir("mobipriv_stream_poisoned", 6);
+  const auto plan = core::ProbeShardStream(dir);
+  ASSERT_TRUE(plan.has_value());
+  // The user of shard 2's middle trace: the stage throws after whole
+  // shards have streamed through it, part way into a shard.
+  const model::MappedColumnar shard =
+      model::MapColumnar(model::ShardDataPath(dir, 2));
+  ASSERT_GT(shard.TraceCount(), 0u);
+  const model::UserId target =
+      plan->local_to_global[2][shard.TraceUser(shard.TraceCount() / 2)];
+  mech::RegisterMechanism("poisoned_user", [target](const util::Spec&) {
+    return std::make_unique<PoisonedUser>(target);
+  });
+  const std::string error = "poisoned user " + std::to_string(target);
+
+  core::ScenarioSpec healthy_spec = FoldableSpec();
+  healthy_spec.source = core::DatasetSourceSpec::Borrowed(World());
+  healthy_spec.seeds = {5};
+  const core::Report healthy = core::RunScenario(std::move(healthy_spec));
+
+  for (const std::size_t threads : {1u, 4u}) {
+    core::ScenarioSpec spec = FoldableSpec();
+    spec.mechanisms.push_back("poisoned_user");
+    spec.seeds = {5};
+    spec.threads = threads;
+    core::ScenarioSpec dag_spec = spec;
+    dag_spec.source = core::DatasetSourceSpec::Borrowed(World());
+    const std::string dag = core::RunScenario(std::move(dag_spec)).ToCsv();
+
+    spec.source = core::DatasetSourceSpec::ShardDir(dir);
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    EXPECT_EQ(engine.stats().streamed_shards, 6u);
+    EXPECT_EQ(report.ToCsv(), dag) << "threads=" << threads;
+    std::size_t failed = 0;
+    std::size_t skipped = 0;
+    for (const core::ReportRow& row : report.rows()) {
+      if (row.status == core::RowStatus::kFailed) {
+        ++failed;
+        EXPECT_EQ(row.mechanism, "poisoned_user");
+        EXPECT_EQ(row.evaluator, "");
+        EXPECT_EQ(row.error, error);
+      } else if (row.status == core::RowStatus::kSkipped) {
+        ++skipped;
+        EXPECT_EQ(row.mechanism, "poisoned_user");
+        EXPECT_EQ(row.error, "dependency failed: " + error);
+      }
+    }
+    EXPECT_EQ(failed, 1u) << "threads=" << threads;
+    EXPECT_EQ(skipped, FoldableSpec().evaluators.size())
+        << "threads=" << threads;
+    ExpectHealthyRowsMatch(report, healthy);
   }
   fs::remove_all(dir);
 }
